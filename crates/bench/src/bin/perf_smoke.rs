@@ -23,11 +23,12 @@
 //!   reading bounds the engine rather than the later crawl;
 //!
 //! plus the process peak RSS (`VmHWM`) once at the end. The current
-//! numbers are compared against the **last entry** of the append-only
-//! history in `BENCH_summary.json`: more than 30% slower on a time
-//! column or 25% heavier on a memory column exits non-zero. A missing history,
-//! scale mismatch, or zero baseline column skips that check so the
-//! smoke never blocks unrelated work.
+//! numbers are compared against the **newest entry at the same scale**
+//! in the append-only history in `BENCH_summary.json`: more than 30%
+//! slower on a time column (`crawl_wall_ms` included) or 25% heavier on
+//! a memory column exits non-zero. A missing history, no entry at this
+//! scale, or a zero baseline column skips that check so the smoke never
+//! blocks unrelated work.
 //!
 //! Modes:
 //!
@@ -41,8 +42,8 @@
 
 use std::time::Instant;
 use topics_bench::{
-    bench_sites, check_regression, is_append_only, read_history, summary_path, verify_history,
-    BenchSummary, BENCH_SEED, PROBE_WALL_GAUGE,
+    bench_sites, check_regression, is_append_only, newest_at_scale, read_history, summary_path,
+    verify_history, BenchSummary, BENCH_SEED, PROBE_WALL_GAUGE,
 };
 use topics_core::analysis::colscan;
 use topics_core::crawler::columnar::ColumnarCampaign;
@@ -292,17 +293,19 @@ fn main() {
         eprintln!("perf-smoke FAIL: {} — {e}", path.display());
         std::process::exit(1);
     }
-    let Some(baseline) = history.last() else {
-        println!("perf-smoke: empty history — skipping comparison");
+    let Some(idx) = newest_at_scale(&history, sites) else {
+        println!("perf-smoke: no history entry at sites={sites} — skipping comparison");
         return;
     };
-    if baseline.sites != sites {
-        println!(
-            "perf-smoke: baseline scale mismatch (baseline sites={}, current sites={sites}) — skipping",
-            baseline.sites
-        );
-        return;
-    }
+    let baseline = &history[idx];
+    let entry = idx + 1;
+    println!(
+        "perf-smoke: comparing against entry {entry} of {} (sites={sites}, \
+         crawl_wall_ms={}, alloc_bytes={})",
+        history.len(),
+        baseline.crawl_wall_ms,
+        baseline.alloc_bytes
+    );
     let violations = check_regression(baseline, &current);
     if !violations.is_empty() {
         for v in &violations {
@@ -311,8 +314,7 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "perf-smoke OK: within 13/10 × time and 5/4 × memory of baseline entry {} of {}",
-        history.len(),
+        "perf-smoke OK: within 13/10 × time and 5/4 × memory of baseline entry {entry} of {}",
         path.display()
     );
 }

@@ -228,7 +228,14 @@ pub fn check_regression(baseline: &BenchSummary, current: &BenchSummary) -> Vec<
         return violations;
     }
     // (label, baseline value, current value, limit numerator/denominator)
-    let gates: [(&str, u64, u64, u64, u64); 11] = [
+    let gates: [(&str, u64, u64, u64, u64); 12] = [
+        (
+            "crawl_wall_ms",
+            baseline.crawl_wall_ms,
+            current.crawl_wall_ms,
+            13,
+            10,
+        ),
         (
             "probe_wall_us",
             baseline.probe_wall_us,
@@ -319,6 +326,13 @@ pub fn check_regression(baseline: &BenchSummary, current: &BenchSummary) -> Vec<
         }
     }
     violations
+}
+
+/// Index of the newest entry recorded at `sites` — the comparison
+/// baseline, so an entry at another scale never hides an older
+/// same-scale one.
+pub fn newest_at_scale(history: &[BenchSummary], sites: usize) -> Option<usize> {
+    history.iter().rposition(|e| e.sites == sites)
 }
 
 /// Read the newest entry of a history file (the comparison baseline);
@@ -506,6 +520,27 @@ mod tests {
         let mut other_scale = over.clone();
         other_scale.sites = 6_000;
         assert!(check_regression(&base, &other_scale).is_empty());
+    }
+
+    #[test]
+    fn crawl_wall_gate_fires_against_the_newest_same_scale_entry() {
+        let base = entry(2_000, 10_000, 1_000_000);
+        let mut at = base.clone();
+        at.crawl_wall_ms = base.crawl_wall_ms * 13 / 10;
+        assert!(check_regression(&base, &at).is_empty());
+        let mut over = at.clone();
+        over.crawl_wall_ms += 1;
+        let v = check_regression(&base, &over);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("crawl_wall_ms"), "{v:?}");
+
+        let mut older = base.clone();
+        older.crawl_wall_ms = 500;
+        let mut other_scale = base.clone();
+        other_scale.sites = 50_000;
+        let history = vec![older, base.clone(), other_scale];
+        assert_eq!(newest_at_scale(&history, 2_000), Some(1));
+        assert_eq!(newest_at_scale(&history, 6_000), None);
     }
 
     #[test]

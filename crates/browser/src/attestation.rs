@@ -16,7 +16,7 @@
 
 use std::collections::BTreeSet;
 use topics_net::domain::Domain;
-use topics_net::psl::registrable_domain;
+use topics_net::psl::{registrable_domain, registrable_str};
 
 /// State of the on-disk allow-list component.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,7 +124,7 @@ impl AttestationStore {
     pub fn check(&self, caller: &Domain) -> AllowDecision {
         match &self.state {
             AllowListState::Healthy(set) => {
-                if set.contains(&registrable_domain(caller)) {
+                if set.contains(registrable_str(caller)) {
                     AllowDecision::AllowedEnrolled
                 } else {
                     AllowDecision::BlockedNotEnrolled

@@ -15,16 +15,10 @@
 //!
 //! The parser is a forgiving single-pass tokenizer: unknown tags are
 //! skipped, attributes may be quoted or bare, and malformed markup
-//! degrades to text rather than failing.
-
-/// One attribute on a tag.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Attr {
-    /// Attribute name, lowercased.
-    pub name: String,
-    /// Attribute value; empty for boolean attributes.
-    pub value: String,
-}
+//! degrades to text rather than failing. It scans the page in place:
+//! tag and attribute names are borrowed slices matched
+//! ASCII-case-insensitively, so the only strings it allocates are the
+//! ones a [`Node`] keeps.
 
 /// A parsed node of interest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,8 +29,6 @@ pub enum Node {
         src: Option<String>,
         /// Inline body (empty for external scripts).
         inline: String,
-        /// All attributes.
-        attrs: Vec<Attr>,
     },
     /// `<iframe src=…>`.
     Iframe {
@@ -45,8 +37,6 @@ pub enum Node {
         /// True when the `browsingtopics` attribute is present — the
         /// iframe-type Topics API call.
         browsing_topics: bool,
-        /// All attributes.
-        attrs: Vec<Attr>,
     },
     /// `<img src=…>`.
     Img {
@@ -131,88 +121,184 @@ pub fn parse(html: &str) -> Document {
                 .unwrap_or(bytes.len());
             continue;
         }
-        let Some((tag, attrs, self_closing, after)) = parse_tag(html, i) else {
+        let Some(tag) = parse_tag(html, i) else {
             i += 1;
             continue;
         };
-        i = after;
-        match tag.as_str() {
-            "script" => {
-                let src = attr(&attrs, "src");
-                let (inline, next) = if self_closing {
-                    (String::new(), i)
-                } else {
-                    read_raw_until_close(html, i, "script")
-                };
+        i = tag.after;
+        let name = tag.name;
+        if name.eq_ignore_ascii_case("script") {
+            let inline = if tag.self_closing {
+                ""
+            } else {
+                let (body, next) = read_raw_until_close(html, i, "script");
                 i = next;
-                doc.nodes.push(Node::Script {
-                    src,
-                    inline: inline.trim().to_owned(),
-                    attrs,
+                body
+            };
+            doc.nodes.push(Node::Script {
+                src: tag.attr("src").map(str::to_owned),
+                inline: inline.trim().to_owned(),
+            });
+        } else if name.eq_ignore_ascii_case("iframe") {
+            if let Some(src) = tag.attr("src") {
+                doc.nodes.push(Node::Iframe {
+                    src: src.to_owned(),
+                    browsing_topics: tag.attr("browsingtopics").is_some(),
                 });
             }
-            "iframe" => {
-                if let Some(src) = attr(&attrs, "src") {
-                    let browsing_topics = attrs.iter().any(|a| a.name == "browsingtopics");
-                    doc.nodes.push(Node::Iframe {
-                        src,
-                        browsing_topics,
-                        attrs,
+            if !tag.self_closing {
+                i = read_raw_until_close(html, i, "iframe").1;
+            }
+        } else if name.eq_ignore_ascii_case("img") {
+            if let Some(src) = tag.attr("src") {
+                doc.nodes.push(Node::Img {
+                    src: src.to_owned(),
+                });
+            }
+        } else if name.eq_ignore_ascii_case("link") {
+            let rel = tag.attr("rel").unwrap_or_default();
+            if rel.eq_ignore_ascii_case("stylesheet") {
+                if let Some(href) = tag.attr("href") {
+                    doc.nodes.push(Node::Stylesheet {
+                        href: href.to_owned(),
                     });
                 }
-                if !self_closing {
-                    let (_, next) = read_raw_until_close(html, i, "iframe");
-                    i = next;
-                }
             }
-            "img" => {
-                if let Some(src) = attr(&attrs, "src") {
-                    doc.nodes.push(Node::Img { src });
-                }
-            }
-            "link" => {
-                let rel = attr(&attrs, "rel").unwrap_or_default();
-                if rel.eq_ignore_ascii_case("stylesheet") {
-                    if let Some(href) = attr(&attrs, "href") {
-                        doc.nodes.push(Node::Stylesheet { href });
-                    }
-                }
-            }
-            "title" => {
-                let (text, next) = read_raw_until_close(html, i, "title");
-                i = next;
-                doc.title = Some(collapse_ws(&text));
-            }
-            "button" | "a" => {
-                let (raw, next) = read_nested_until_close(html, i, &tag);
-                i = next;
-                doc.nodes.push(Node::Clickable {
-                    tag,
-                    text: collapse_ws(&strip_tags(&raw)),
-                    id: attr(&attrs, "id"),
-                    classes: class_list(&attrs),
-                });
-            }
-            "div" => {
-                let (raw, next) = read_nested_until_close(html, i, "div");
-                doc.nodes.push(Node::Container {
-                    classes: class_list(&attrs),
-                    id: attr(&attrs, "id"),
-                    text: collapse_ws(&strip_tags(&raw)),
-                });
-                // Do NOT advance past the div body: nested clickables and
-                // scripts inside it must also be parsed as top-level nodes.
-                let _ = next;
-            }
-            _ => {}
+        } else if name.eq_ignore_ascii_case("title") {
+            let (text, next) = read_raw_until_close(html, i, "title");
+            i = next;
+            doc.title = Some(collapse_ws(|| text.chars()));
+        } else if let Some(clickable) = ["button", "a"]
+            .into_iter()
+            .find(|c| name.eq_ignore_ascii_case(c))
+        {
+            let (raw, next) = read_nested_until_close(html, i, clickable);
+            i = next;
+            doc.nodes.push(Node::Clickable {
+                tag: clickable.to_owned(),
+                text: collapse_ws(|| visible_chars(raw)),
+                id: tag.attr("id").map(str::to_owned),
+                classes: class_list(&tag),
+            });
+        } else if name.eq_ignore_ascii_case("div") {
+            // Do NOT advance past the div body: nested clickables and
+            // scripts inside it must also be parsed as top-level nodes.
+            let (raw, _) = read_nested_until_close(html, i, "div");
+            doc.nodes.push(Node::Container {
+                classes: class_list(&tag),
+                id: tag.attr("id").map(str::to_owned),
+                text: collapse_ws(|| visible_chars(raw)),
+            });
         }
     }
     doc
 }
 
+/// An opening (or closing) tag, borrowed from the page.
+struct Tag<'a> {
+    html: &'a str,
+    /// The tag name as written; empty for a closing tag.
+    name: &'a str,
+    /// Where the attribute list starts.
+    attrs_at: usize,
+    self_closing: bool,
+    /// Index just after the tag's `>`.
+    after: usize,
+}
+
+impl<'a> Tag<'a> {
+    /// The value of the first attribute called `name` (lowercase),
+    /// matched ASCII-case-insensitively; empty for a boolean attribute.
+    fn attr(&self, name: &str) -> Option<&'a str> {
+        let mut i = self.attrs_at;
+        let mut self_closing = false;
+        while let AttrStep::Attr(n, v) = attr_step(self.html, &mut i, &mut self_closing) {
+            if n.eq_ignore_ascii_case(name) {
+                return Some(v);
+            }
+        }
+        None
+    }
+}
+
+/// One step of the attribute scanner.
+enum AttrStep<'a> {
+    /// An attribute: `(name, value)`.
+    Attr(&'a str, &'a str),
+    /// The tag's closing `>`, with the index after it.
+    End(usize),
+    /// The input ended inside the tag.
+    Unterminated,
+}
+
+/// Scan from `*i` to the next attribute or to the end of the tag,
+/// noting a `/` on the way in `self_closing`.
+fn attr_step<'a>(html: &'a str, i: &mut usize, self_closing: &mut bool) -> AttrStep<'a> {
+    let bytes = html.as_bytes();
+    loop {
+        while *i < bytes.len() && bytes[*i].is_ascii_whitespace() {
+            *i += 1;
+        }
+        if *i >= bytes.len() {
+            return AttrStep::Unterminated;
+        }
+        if bytes[*i] == b'>' {
+            *i += 1;
+            return AttrStep::End(*i);
+        }
+        if bytes[*i] == b'/' {
+            *self_closing = true;
+            *i += 1;
+            continue;
+        }
+        // Attribute name.
+        let an_start = *i;
+        while *i < bytes.len()
+            && !bytes[*i].is_ascii_whitespace()
+            && bytes[*i] != b'='
+            && bytes[*i] != b'>'
+            && bytes[*i] != b'/'
+        {
+            *i += 1;
+        }
+        let name = &html[an_start..*i];
+        if name.is_empty() {
+            *i += 1;
+            continue;
+        }
+        while *i < bytes.len() && bytes[*i].is_ascii_whitespace() {
+            *i += 1;
+        }
+        let mut value = "";
+        if *i < bytes.len() && bytes[*i] == b'=' {
+            *i += 1;
+            while *i < bytes.len() && bytes[*i].is_ascii_whitespace() {
+                *i += 1;
+            }
+            if *i < bytes.len() && (bytes[*i] == b'"' || bytes[*i] == b'\'') {
+                let quote = bytes[*i];
+                *i += 1;
+                let v_start = *i;
+                while *i < bytes.len() && bytes[*i] != quote {
+                    *i += 1;
+                }
+                value = &html[v_start..*i];
+                *i = (*i + 1).min(bytes.len());
+            } else {
+                let v_start = *i;
+                while *i < bytes.len() && !bytes[*i].is_ascii_whitespace() && bytes[*i] != b'>' {
+                    *i += 1;
+                }
+                value = &html[v_start..*i];
+            }
+        }
+        return AttrStep::Attr(name, value);
+    }
+}
+
 /// Parse `<tag attr=… >` starting at `start` (which points at `<`).
-/// Returns `(tag_name, attrs, self_closing, index_after_gt)`.
-fn parse_tag(html: &str, start: usize) -> Option<(String, Vec<Attr>, bool, usize)> {
+/// `None` when there is no tag name or the tag never ends.
+fn parse_tag(html: &str, start: usize) -> Option<Tag<'_>> {
     let bytes = html.as_bytes();
     let mut i = start + 1;
     if i >= bytes.len() {
@@ -220,8 +306,14 @@ fn parse_tag(html: &str, start: usize) -> Option<(String, Vec<Attr>, bool, usize
     }
     if bytes[i] == b'/' {
         // Closing tag: skip to '>'.
-        let end = html[i..].find('>').map(|j| i + j + 1)?;
-        return Some((String::new(), Vec::new(), true, end));
+        let after = html[i..].find('>').map(|j| i + j + 1)?;
+        return Some(Tag {
+            html,
+            name: "",
+            attrs_at: after,
+            self_closing: true,
+            after,
+        });
     }
     let name_start = i;
     while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'!') {
@@ -230,168 +322,154 @@ fn parse_tag(html: &str, start: usize) -> Option<(String, Vec<Attr>, bool, usize
     if i == name_start {
         return None;
     }
-    let name = html[name_start..i].to_ascii_lowercase();
-    let mut attrs = Vec::new();
+    let attrs_at = i;
     let mut self_closing = false;
-    loop {
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
+    let after = loop {
+        match attr_step(html, &mut i, &mut self_closing) {
+            AttrStep::Attr(..) => {}
+            AttrStep::End(after) => break after,
+            AttrStep::Unterminated => return None,
         }
-        if i >= bytes.len() {
-            return None;
-        }
-        if bytes[i] == b'>' {
-            i += 1;
-            break;
-        }
-        if bytes[i] == b'/' {
-            self_closing = true;
-            i += 1;
-            continue;
-        }
-        // Attribute name.
-        let an_start = i;
-        while i < bytes.len()
-            && !bytes[i].is_ascii_whitespace()
-            && bytes[i] != b'='
-            && bytes[i] != b'>'
-            && bytes[i] != b'/'
-        {
-            i += 1;
-        }
-        let an = html[an_start..i].to_ascii_lowercase();
-        if an.is_empty() {
-            i += 1;
-            continue;
-        }
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        let mut value = String::new();
-        if i < bytes.len() && bytes[i] == b'=' {
-            i += 1;
-            while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-                i += 1;
-            }
-            if i < bytes.len() && (bytes[i] == b'"' || bytes[i] == b'\'') {
-                let quote = bytes[i];
-                i += 1;
-                let v_start = i;
-                while i < bytes.len() && bytes[i] != quote {
-                    i += 1;
-                }
-                value = html[v_start..i].to_owned();
-                i = (i + 1).min(bytes.len());
-            } else {
-                let v_start = i;
-                while i < bytes.len() && !bytes[i].is_ascii_whitespace() && bytes[i] != b'>' {
-                    i += 1;
-                }
-                value = html[v_start..i].to_owned();
-            }
-        }
-        attrs.push(Attr { name: an, value });
-    }
-    Some((name, attrs, self_closing, i))
+    };
+    Some(Tag {
+        html,
+        name: &html[name_start..attrs_at],
+        attrs_at,
+        self_closing,
+        after,
+    })
 }
 
-/// Raw text from `start` to the first `</tag>`, returning (text, index
-/// after the close tag). Used for script/title bodies where markup inside
-/// is not interpreted.
-fn read_raw_until_close(html: &str, start: usize, tag: &str) -> (String, usize) {
-    let close = format!("</{tag}");
-    let lower = html[start..].to_ascii_lowercase();
-    match lower.find(&close) {
-        Some(j) => {
-            let body = html[start..start + j].to_owned();
-            let rest = &html[start + j..];
-            let after = rest
-                .find('>')
-                .map(|k| start + j + k + 1)
-                .unwrap_or(html.len());
-            (body, after)
+/// True when `haystack` starts with the lowercase ASCII `needle`,
+/// ignoring ASCII case.
+fn starts_with_ci(haystack: &[u8], needle: &str) -> bool {
+    haystack.len() >= needle.len()
+        && haystack[..needle.len()].eq_ignore_ascii_case(needle.as_bytes())
+}
+
+/// The first `</tag` at or after `from` — or, with `opens`, the first
+/// `<tag` or `</tag`, whichever comes first — matching the lowercase
+/// `tag` ASCII-case-insensitively. Returns the index of its `<` and
+/// whether it closes.
+fn find_tag_mark(html: &str, from: usize, tag: &str, opens: bool) -> Option<(usize, bool)> {
+    let bytes = html.as_bytes();
+    let mut at = from;
+    while let Some(j) = html[at..].find('<') {
+        let lt = at + j;
+        let rest = &bytes[lt + 1..];
+        if rest.first() == Some(&b'/') && starts_with_ci(&rest[1..], tag) {
+            return Some((lt, true));
         }
-        None => (html[start..].to_owned(), html.len()),
+        if opens && starts_with_ci(rest, tag) {
+            return Some((lt, false));
+        }
+        at = lt + 1;
+    }
+    None
+}
+
+/// Raw text from `start` to the first `</tag`, returning (text, index
+/// after the close tag's `>`). Used for script/title bodies where markup
+/// inside is not interpreted.
+fn read_raw_until_close<'a>(html: &'a str, start: usize, tag: &str) -> (&'a str, usize) {
+    match find_tag_mark(html, start, tag, false) {
+        Some((c, _)) => (&html[start..c], after_gt(html, c)),
+        None => (&html[start..], html.len()),
     }
 }
 
 /// Like [`read_raw_until_close`] but respects nesting of the same tag
-/// (needed for `<div>` inside `<div>`).
-fn read_nested_until_close(html: &str, start: usize, tag: &str) -> (String, usize) {
-    let open = format!("<{tag}");
-    let close = format!("</{tag}");
-    let lower = html.to_ascii_lowercase();
+/// (needed for `<div>` inside `<div>`). An open such as `<divx` that does
+/// not end the tag name is not nesting: the next close ends it.
+fn read_nested_until_close<'a>(html: &'a str, start: usize, tag: &str) -> (&'a str, usize) {
     let mut depth = 1usize;
     let mut i = start;
-    while depth > 0 {
-        let next_open = lower[i..].find(&open).map(|j| i + j);
-        let next_close = lower[i..].find(&close).map(|j| i + j);
-        match (next_open, next_close) {
-            (Some(o), Some(c)) if o < c && is_tag_boundary(&lower, o + open.len()) => {
+    loop {
+        let close = match find_tag_mark(html, i, tag, true) {
+            Some((o, false)) if is_tag_boundary(html, o + 1 + tag.len()) => {
                 depth += 1;
-                i = o + open.len();
+                i = o + 1 + tag.len();
+                continue;
             }
-            (_, Some(c)) => {
-                depth -= 1;
-                if depth == 0 {
-                    let body = html[start..c].to_owned();
-                    let after = lower[c..]
-                        .find('>')
-                        .map(|k| c + k + 1)
-                        .unwrap_or(html.len());
-                    return (body, after);
-                }
-                i = c + close.len();
-            }
-            _ => break,
+            Some((o, false)) => find_tag_mark(html, o + 1, tag, false).map(|(c, _)| c),
+            Some((c, true)) => Some(c),
+            None => None,
+        };
+        let Some(c) = close else {
+            return (&html[start..], html.len());
+        };
+        depth -= 1;
+        if depth == 0 {
+            return (&html[start..c], after_gt(html, c));
         }
+        i = c + 2 + tag.len();
     }
-    (html[start..].to_owned(), html.len())
+}
+
+/// The index after the first `>` at or after `from`, or the end.
+fn after_gt(html: &str, from: usize) -> usize {
+    html[from..]
+        .find('>')
+        .map(|k| from + k + 1)
+        .unwrap_or(html.len())
 }
 
 /// True when the character at `idx` terminates a tag name (so `<divx`
 /// does not count as `<div`).
-fn is_tag_boundary(lower: &str, idx: usize) -> bool {
-    match lower.as_bytes().get(idx) {
+fn is_tag_boundary(html: &str, idx: usize) -> bool {
+    match html.as_bytes().get(idx) {
         Some(b) => b.is_ascii_whitespace() || *b == b'>' || *b == b'/',
         None => true,
     }
 }
 
-/// Remove all tags from a fragment, keeping text.
-fn strip_tags(fragment: &str) -> String {
-    let mut out = String::with_capacity(fragment.len());
+/// The characters of a fragment with its tags removed; each `<` reads as
+/// a space.
+fn visible_chars(fragment: &str) -> impl Iterator<Item = char> + '_ {
     let mut in_tag = false;
-    for ch in fragment.chars() {
-        match ch {
-            '<' => {
-                in_tag = true;
-                out.push(' ');
+    fragment.chars().filter_map(move |ch| match ch {
+        '<' => {
+            in_tag = true;
+            Some(' ')
+        }
+        '>' => {
+            in_tag = false;
+            None
+        }
+        c if !in_tag => Some(c),
+        _ => None,
+    })
+}
+
+/// Collapse runs of whitespace to single spaces and trim. `chars` is
+/// walked twice, to size the result exactly and then to fill it.
+fn collapse_ws<I: Iterator<Item = char>>(chars: impl Fn() -> I) -> String {
+    fn each(chars: impl Iterator<Item = char>, mut emit: impl FnMut(char)) {
+        let mut gap = false;
+        let mut started = false;
+        for c in chars {
+            if c.is_whitespace() {
+                gap = true;
+                continue;
             }
-            '>' => in_tag = false,
-            c if !in_tag => out.push(c),
-            _ => {}
+            if gap && started {
+                emit(' ');
+            }
+            gap = false;
+            started = true;
+            emit(c);
         }
     }
+    let mut len = 0;
+    each(chars(), |c| len += c.len_utf8());
+    let mut out = String::with_capacity(len);
+    each(chars(), |c| out.push(c));
     out
 }
 
-/// Collapse runs of whitespace to single spaces and trim.
-fn collapse_ws(s: &str) -> String {
-    s.split_whitespace().collect::<Vec<_>>().join(" ")
-}
-
-/// Fetch an attribute value by (lowercase) name.
-fn attr(attrs: &[Attr], name: &str) -> Option<String> {
-    attrs
-        .iter()
-        .find(|a| a.name == name)
-        .map(|a| a.value.clone())
-}
-
 /// Split the `class` attribute into tokens.
-fn class_list(attrs: &[Attr]) -> Vec<String> {
-    attr(attrs, "class")
+fn class_list(tag: &Tag<'_>) -> Vec<String> {
+    tag.attr("class")
         .map(|c| c.split_whitespace().map(str::to_owned).collect())
         .unwrap_or_default()
 }

@@ -138,13 +138,9 @@ pub fn parse(source: &str) -> Result<Vec<Stmt>, ScriptError> {
     let mut lines = source
         .lines()
         .enumerate()
-        .map(|(i, l)| (i + 1, strip_comment(l).trim().to_owned()))
-        .filter(|(_, l)| !l.is_empty())
-        .collect::<Vec<_>>()
-        .into_iter()
-        .peekable();
-    let body = parse_block(&mut lines, None)?;
-    Ok(body)
+        .map(|(i, l)| (i + 1, strip_comment(l).trim()))
+        .filter(|(_, l)| !l.is_empty());
+    parse_block(&mut lines, None)
 }
 
 fn strip_comment(line: &str) -> &str {
@@ -154,10 +150,14 @@ fn strip_comment(line: &str) -> &str {
     }
 }
 
-type Lines = std::iter::Peekable<std::vec::IntoIter<(usize, String)>>;
+/// The longest statement has four tokens (`ab <p> <scope> {`).
+const MAX_TOKENS: usize = 4;
 
 /// Parse statements until EOF (outer) or a closing `}` (inner).
-fn parse_block(lines: &mut Lines, opened_at: Option<usize>) -> Result<Vec<Stmt>, ScriptError> {
+fn parse_block<'a>(
+    lines: &mut impl Iterator<Item = (usize, &'a str)>,
+    opened_at: Option<usize>,
+) -> Result<Vec<Stmt>, ScriptError> {
     let mut out = Vec::new();
     loop {
         let Some((lineno, line)) = lines.next() else {
@@ -178,17 +178,32 @@ fn parse_block(lines: &mut Lines, opened_at: Option<usize>) -> Result<Vec<Stmt>,
                 }),
             };
         }
-        out.push(parse_stmt(lineno, &line, lines)?);
+        out.push(parse_stmt(lineno, line, lines)?);
     }
 }
 
-fn parse_stmt(lineno: usize, line: &str, lines: &mut Lines) -> Result<Stmt, ScriptError> {
+fn parse_stmt<'a>(
+    lineno: usize,
+    line: &str,
+    lines: &mut impl Iterator<Item = (usize, &'a str)>,
+) -> Result<Stmt, ScriptError> {
     let err = |message: String| ScriptError {
         line: lineno,
         message,
     };
-    let tokens: Vec<&str> = line.split_whitespace().collect();
-    match tokens.as_slice() {
+    // Tokens on the stack; a line with more than `MAX_TOKENS` matches
+    // no statement, so the slice is left empty for it.
+    let mut buf = [""; MAX_TOKENS];
+    let mut n = 0;
+    for token in line.split_whitespace() {
+        if n == MAX_TOKENS {
+            n = 0;
+            break;
+        }
+        buf[n] = token;
+        n += 1;
+    }
+    match &buf[..n] {
         ["topics", "js"] => Ok(Stmt::TopicsJs),
         ["topics", "js", "noobserve"] => Ok(Stmt::TopicsJsSkipObservation),
         ["topics", "fetch", url] => Ok(Stmt::TopicsFetch((*url).to_owned())),

@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use topics_net::clock::Timestamp;
 use topics_net::domain::Domain;
-use topics_net::psl::registrable_domain;
+use topics_net::psl::{registrable_domain, registrable_str};
 use topics_net::seed;
 use topics_obs::{Counter, MetricsRegistry};
 use topics_taxonomy::{Classification, Classifier, Taxonomy, TopicId};
@@ -184,13 +184,14 @@ impl TopicsEngine {
     /// on a page — via script, fetch with `Observe-Browsing-Topics`, or
     /// iframe — becomes eligible to receive that site's topics later).
     pub fn record_observation(&mut self, caller: &Domain, site: &Site, now: Timestamp) {
-        let epoch = now.epoch();
-        self.epochs
-            .entry(epoch)
-            .or_default()
-            .observations
-            .entry(registrable_domain(caller))
-            .or_default()
+        let observations = &mut self.epochs.entry(now.epoch()).or_default().observations;
+        let reg = registrable_str(caller);
+        if !observations.contains_key(reg) {
+            observations.insert(registrable_domain(caller), HashSet::new());
+        }
+        observations
+            .get_mut(reg)
+            .expect("inserted above")
             .insert(site.domain().clone());
     }
 
@@ -274,7 +275,7 @@ impl TopicsEngine {
         if !self.enabled {
             return None;
         }
-        let caller_reg = registrable_domain(caller);
+        let caller_reg = registrable_str(caller);
         let current = now.epoch();
         let mut out: Vec<ReturnedTopic> = Vec::with_capacity(EPOCH_WINDOW as usize);
         // The last three *completed* epochs: current-3 .. current-1.
@@ -282,7 +283,7 @@ impl TopicsEngine {
             let Some(epoch) = current.checked_sub(back) else {
                 break;
             };
-            if let Some(rt) = self.topic_for_epoch(epoch, &caller_reg, top_site) {
+            if let Some(rt) = self.topic_for_epoch(epoch, caller_reg, top_site) {
                 out.push(rt);
             }
         }
@@ -304,7 +305,7 @@ impl TopicsEngine {
     fn topic_for_epoch(
         &self,
         epoch: u64,
-        caller_reg: &Domain,
+        caller_reg: &str,
         top_site: &Site,
     ) -> Option<ReturnedTopic> {
         let h = self.epochs.get(&epoch)?;

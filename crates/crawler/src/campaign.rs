@@ -830,7 +830,7 @@ pub fn probe_attestation_traced<S: NetworkService + ?Sized>(
     mut trace: Option<&mut TraceBuilder>,
 ) -> AttestationProbe {
     let url = attestation_url(domain);
-    let key = seed::derive_idx(seed::fnv1a(url.to_string().as_bytes()), now.millis());
+    let key = seed::derive_idx(url.fnv1a(), now.millis());
     let req = HttpRequest::get(url, ResourceKind::WellKnown);
     let span = trace.as_deref_mut().map(|tb| {
         let idx = tb.open("probe", Some(now.millis()));

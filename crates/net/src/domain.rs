@@ -6,7 +6,7 @@
 //! parties); see [`crate::psl`] for the latter.
 
 use serde::{Deserialize, Serialize};
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -64,7 +64,13 @@ impl Domain {
         if input.len() > 253 {
             return Err(DomainError::TooLong);
         }
-        let lowered = input.to_ascii_lowercase();
+        // Hosts almost always arrive lowercase already; copy only when
+        // there is something to fold.
+        let lowered: Cow<'_, str> = if input.bytes().any(|b| b.is_ascii_uppercase()) {
+            Cow::Owned(input.to_ascii_lowercase())
+        } else {
+            Cow::Borrowed(input)
+        };
         let mut labels = 0usize;
         for label in lowered.split('.') {
             labels += 1;
@@ -87,7 +93,19 @@ impl Domain {
         if labels < 2 {
             return Err(DomainError::NotFullyQualified);
         }
-        Ok(Domain(lowered.into()))
+        Ok(Domain(Arc::from(&*lowered)))
+    }
+
+    /// A `Domain` from a label-aligned suffix of an already validated
+    /// host with at least two labels, such as a registrable domain.
+    /// Every label of such a suffix is a label of the host, so it needs
+    /// no second validation.
+    pub(crate) fn from_label_suffix(suffix: &str) -> Domain {
+        debug_assert_eq!(
+            Domain::parse(suffix).as_ref().map(Domain::as_str),
+            Ok(suffix)
+        );
+        Domain(Arc::from(suffix))
     }
 
     /// The full hostname as a string slice.

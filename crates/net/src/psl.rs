@@ -72,7 +72,33 @@ pub fn public_suffix(domain: &Domain) -> &str {
     }
 }
 
-/// The registrable domain (eTLD+1) of a host.
+/// The registrable domain (eTLD+1) of a host, as a slice of the host.
+///
+/// The slice is label-aligned: it starts just after a `.` of the host, or
+/// at its first byte when the host already is its own registrable domain
+/// (or a bare public suffix). It allocates nothing, so callers that only
+/// hash, compare or look the registrable domain up should use it;
+/// [`registrable_domain`] is for callers that keep the result.
+///
+/// ```
+/// use topics_net::domain::Domain;
+/// use topics_net::psl::registrable_str;
+///
+/// let host = Domain::parse("ads.shop.example.co.uk").unwrap();
+/// assert_eq!(registrable_str(&host), "example.co.uk");
+/// ```
+pub fn registrable_str(domain: &Domain) -> &str {
+    let host = domain.as_str();
+    let suffix = public_suffix(domain);
+    if host.len() == suffix.len() {
+        return host;
+    }
+    let prefix = &host[..host.len() - suffix.len() - 1];
+    let start = prefix.rfind('.').map_or(0, |i| i + 1);
+    &host[start..]
+}
+
+/// The registrable domain (eTLD+1) of a host, as an owned [`Domain`].
 ///
 /// `a.b.example.co.uk` → `example.co.uk`; `www.example.com` → `example.com`.
 ///
@@ -83,30 +109,28 @@ pub fn public_suffix(domain: &Domain) -> &str {
 /// let host = Domain::parse("ads.shop.example.co.uk").unwrap();
 /// assert_eq!(registrable_domain(&host).as_str(), "example.co.uk");
 /// ```
-/// If the host itself is a bare public suffix, it is returned unchanged —
-/// the synthetic web never serves pages from bare suffixes, and analysis
-/// treats such hosts as their own party.
+/// A host that already is its own registrable domain comes back as a
+/// clone sharing its storage; otherwise the [`registrable_str`] slice is
+/// copied once. If the host itself is a bare public suffix, it is
+/// returned unchanged — the synthetic web never serves pages from bare
+/// suffixes, and analysis treats such hosts as their own party.
 pub fn registrable_domain(domain: &Domain) -> Domain {
-    let host = domain.as_str();
-    let suffix = public_suffix(domain);
-    if host == suffix {
-        return domain.clone();
+    let reg = registrable_str(domain);
+    if reg.len() == domain.as_str().len() {
+        domain.clone()
+    } else {
+        Domain::from_label_suffix(reg)
     }
-    let prefix = &host[..host.len() - suffix.len() - 1];
-    let last_label = prefix.rsplit('.').next().expect("non-empty prefix");
-    let reg = format!("{last_label}.{suffix}");
-    Domain::parse(&reg).expect("labels of a valid domain recombine validly")
 }
 
 /// Memoized [`registrable_domain`] resolution, keyed by full host.
 ///
 /// A crawl resolves the registrable domain of the same handful of hosts
-/// over and over (every object load, every Topics call). The suffix
-/// scan is cheap but allocates a fresh `Domain` per call; the memo
-/// returns an `Arc`-shared clone of the first resolution instead, so
-/// repeated hosts cost a hash lookup and every equal registrable domain
-/// within one memo's lifetime shares storage — the seed of the
-/// columnar store's intern table.
+/// over and over (every object load, every Topics call). The memo hands
+/// out `Arc`-shared clones of the first resolution, so every equal
+/// registrable domain within one memo's lifetime shares one storage —
+/// the seed of the columnar store's intern table — and a repeated
+/// subdomain host costs a hash lookup instead of a fresh copy.
 #[derive(Debug, Default)]
 pub struct RegDomainMemo {
     map: std::collections::HashMap<Domain, Domain>,
@@ -160,7 +184,7 @@ pub fn second_level_label(domain: &Domain) -> &str {
 
 /// True when `a` and `b` have the same registrable domain.
 pub fn same_site(a: &Domain, b: &Domain) -> bool {
-    registrable_domain(a) == registrable_domain(b)
+    registrable_str(a) == registrable_str(b)
 }
 
 #[cfg(test)]
@@ -222,6 +246,15 @@ mod tests {
     fn same_site_matches_registrable() {
         assert!(same_site(&d("a.foo.com"), &d("b.foo.com")));
         assert!(!same_site(&d("a.foo.com"), &d("foo.net")));
+    }
+
+    #[test]
+    fn own_registrable_domain_shares_storage() {
+        let host = d("example.com");
+        let reg = registrable_domain(&host);
+        assert!(std::ptr::eq(reg.as_str(), host.as_str()));
+        assert_eq!(registrable_str(&d("www.example.com")), "example.com");
+        assert_eq!(registrable_str(&d("co.uk")), "co.uk");
     }
 
     #[test]

@@ -21,7 +21,16 @@ pub fn splitmix64(state: u64) -> u64 {
 /// purposes) into seed material.
 #[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
+    fnv1a_extend(FNV1A_OFFSET, bytes)
+}
+
+/// The FNV-1a hash of the empty string, where [`fnv1a_extend`] starts.
+pub const FNV1A_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Continue an FNV-1a hash with more bytes: hashing a string piece by
+/// piece equals [`fnv1a`] of the whole, without building it.
+#[inline]
+pub fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);

@@ -140,10 +140,7 @@ pub fn fetch_exchange_traced<S: NetworkService + ?Sized>(
     metrics: Option<&NetMetrics>,
     mut trace: Option<&mut TraceBuilder>,
 ) -> (Result<HttpResponse, NetError>, RetryStats) {
-    let key = seed::derive_idx(
-        seed::fnv1a(request.url.to_string().as_bytes()),
-        now.millis(),
-    );
+    let key = seed::derive_idx(request.url.fnv1a(), now.millis());
     let mut stats = RetryStats::default();
     let mut attempt = 0u32;
     loop {

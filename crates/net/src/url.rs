@@ -6,9 +6,11 @@
 
 use crate::domain::{Domain, DomainError};
 use crate::error::NetError;
+use crate::seed;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// URL scheme. The simulated web is HTTPS-first; HTTP exists so redirects
 /// to HTTPS can be modelled.
@@ -31,12 +33,16 @@ impl Scheme {
 }
 
 /// A parsed URL: scheme, host, absolute path, optional query.
+///
+/// Cheap to clone: host, path and query are `Arc`-shared, so the copies
+/// a page load keeps of one URL (request, object record, cache key)
+/// share one storage.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Url {
     scheme: Scheme,
     host: Domain,
-    path: String,
-    query: Option<String>,
+    path: Arc<str>,
+    query: Option<Arc<str>>,
 }
 
 impl Url {
@@ -49,7 +55,7 @@ impl Url {
         Url {
             scheme: Scheme::Https,
             host,
-            path: path.to_owned(),
+            path: path.into(),
             query: None,
         }
     }
@@ -57,7 +63,7 @@ impl Url {
     /// Construct an HTTPS URL with a query string (without the `?`).
     pub fn https_with_query(host: Domain, path: &str, query: &str) -> Url {
         let mut u = Url::https(host, path);
-        u.query = Some(query.to_owned());
+        u.query = Some(query.into());
         u
     }
 
@@ -84,13 +90,7 @@ impl Url {
             return Err(bad("userinfo and ports are not modelled"));
         }
         let host = Domain::parse(authority).map_err(|_e: DomainError| bad("invalid host"))?;
-        let (path, query) = match path_query.find('?') {
-            Some(i) => (
-                path_query[..i].to_owned(),
-                Some(path_query[i + 1..].to_owned()),
-            ),
-            None => (path_query.to_owned(), None),
-        };
+        let (path, query) = split_query(path_query);
         Ok(Url {
             scheme,
             host,
@@ -119,6 +119,20 @@ impl Url {
         self.query.as_deref()
     }
 
+    /// FNV-1a hash of the URL's text (its `Display` form), computed
+    /// without building the string.
+    pub fn fnv1a(&self) -> u64 {
+        let mut h = seed::FNV1A_OFFSET;
+        for part in [self.scheme.as_str(), "://", self.host.as_str(), &self.path] {
+            h = seed::fnv1a_extend(h, part.as_bytes());
+        }
+        if let Some(q) = &self.query {
+            h = seed::fnv1a_extend(h, b"?");
+            h = seed::fnv1a_extend(h, q.as_bytes());
+        }
+        h
+    }
+
     /// A copy of this URL with a different path (query dropped).
     #[must_use]
     pub fn with_path(&self, path: &str) -> Url {
@@ -126,7 +140,7 @@ impl Url {
         Url {
             scheme: self.scheme,
             host: self.host.clone(),
-            path: path.to_owned(),
+            path: path.into(),
             query: None,
         }
     }
@@ -139,23 +153,27 @@ impl Url {
         } else if let Some(rest) = reference.strip_prefix("//") {
             Url::parse(&format!("{}://{}", self.scheme.as_str(), rest))
         } else if reference.starts_with('/') {
-            let mut u = self.clone();
-            let (path, query) = match reference.find('?') {
-                Some(i) => (
-                    reference[..i].to_owned(),
-                    Some(reference[i + 1..].to_owned()),
-                ),
-                None => (reference.to_owned(), None),
-            };
-            u.path = path;
-            u.query = query;
-            Ok(u)
+            let (path, query) = split_query(reference);
+            Ok(Url {
+                scheme: self.scheme,
+                host: self.host.clone(),
+                path,
+                query,
+            })
         } else {
             Err(NetError::BadUrl {
                 input: reference.to_owned(),
                 reason: "relative (non-rooted) references are not modelled",
             })
         }
+    }
+}
+
+/// Split `/path?query` at its first `?`.
+fn split_query(path_query: &str) -> (Arc<str>, Option<Arc<str>>) {
+    match path_query.split_once('?') {
+        Some((path, query)) => (path.into(), Some(query.into())),
+        None => (path_query.into(), None),
     }
 }
 
@@ -195,6 +213,14 @@ mod tests {
         let u = Url::parse("https://example.com").unwrap();
         assert_eq!(u.path(), "/");
         assert_eq!(u.to_string(), "https://example.com/");
+    }
+
+    #[test]
+    fn fnv1a_hashes_the_display_form() {
+        for u in ["https://a.example.com/x/y?q=1&r=2", "http://b.co.uk/"] {
+            let u = Url::parse(u).unwrap();
+            assert_eq!(u.fnv1a(), seed::fnv1a(u.to_string().as_bytes()));
+        }
     }
 
     #[test]

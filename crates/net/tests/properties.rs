@@ -4,7 +4,9 @@ use proptest::prelude::*;
 use topics_net::clock::Timestamp;
 use topics_net::domain::Domain;
 use topics_net::http::parse_topics_header;
-use topics_net::psl::{registrable_domain, same_second_level_label, same_site};
+use topics_net::psl::{
+    public_suffix, registrable_domain, registrable_str, same_second_level_label, same_site,
+};
 use topics_net::region::Region;
 use topics_net::seed;
 use topics_net::url::Url;
@@ -16,7 +18,59 @@ fn valid_domain() -> impl Strategy<Value = String> {
     prop::collection::vec(label.prop_map(|s: String| s), 2..=4).prop_map(|labels| labels.join("."))
 }
 
+/// Hosts built to stress the public-suffix scan: zero to three labels,
+/// in mixed case, in front of a single-label suffix, a multi-label one
+/// (`co.uk`) or a two-label name that is not a suffix. Zero labels give
+/// bare suffixes and, for single-label suffixes, invalid hosts.
+fn psl_host() -> impl Strategy<Value = String> {
+    let suffix = prop_oneof![
+        Just("com"),
+        Just("uk"),
+        Just("co.uk"),
+        Just("ne.jp"),
+        Just("com.br"),
+        Just("example.net"),
+        Just("CO.UK"),
+    ];
+    let labels = prop::collection::vec("[a-zA-Z0-9][a-zA-Z0-9-]{0,6}[a-zA-Z0-9]", 0..=3);
+    (labels, suffix).prop_map(|(mut labels, suffix)| {
+        labels.push(suffix.to_owned());
+        labels.join(".")
+    })
+}
+
+/// The registrable domain as computed before [`registrable_str`]
+/// existed: `format!` the label left of the suffix onto the suffix, then
+/// validate the result again with [`Domain::parse`].
+fn registrable_reference(domain: &Domain) -> Domain {
+    let host = domain.as_str();
+    let suffix = public_suffix(domain);
+    if host == suffix {
+        return domain.clone();
+    }
+    let prefix = &host[..host.len() - suffix.len() - 1];
+    let last_label = prefix.rsplit('.').next().expect("non-empty prefix");
+    Domain::parse(&format!("{last_label}.{suffix}")).expect("labels recombine validly")
+}
+
 proptest! {
+    #[test]
+    fn registrable_fast_paths_match_the_reference(host in psl_host()) {
+        let Ok(d) = Domain::parse(&host) else {
+            // Only a bare single-label suffix is not a host.
+            prop_assert!(!host.contains('.'));
+            return;
+        };
+        let reference = registrable_reference(&d);
+        prop_assert_eq!(registrable_str(&d), reference.as_str());
+        prop_assert_eq!(registrable_domain(&d), reference.clone());
+        // The slice is label-aligned: the whole host, or what follows a dot.
+        let host = d.as_str();
+        let reg = registrable_str(&d);
+        prop_assert!(reg.len() == host.len() || host.as_bytes()[host.len() - reg.len() - 1] == b'.');
+        prop_assert!(host.ends_with(reg));
+    }
+
     #[test]
     fn domain_parse_never_panics(input in ".*") {
         let _ = Domain::parse(&input);
@@ -67,6 +121,20 @@ proptest! {
         let r = Region::of(&d);
         prop_assert_eq!(r, Region::of(&d));
         prop_assert!(Region::ALL.contains(&r));
+    }
+
+    #[test]
+    fn url_fnv1a_equals_the_hash_of_its_text(
+        host in valid_domain(),
+        path in "(/[a-zA-Z0-9]{0,8}){1,3}",
+        query in prop::option::of("[a-z0-9=&]{0,12}")
+    ) {
+        let text = match &query {
+            Some(q) => format!("https://{host}{path}?{q}"),
+            None => format!("https://{host}{path}"),
+        };
+        let url = Url::parse(&text).unwrap();
+        prop_assert_eq!(url.fnv1a(), seed::fnv1a(url.to_string().as_bytes()));
     }
 
     #[test]

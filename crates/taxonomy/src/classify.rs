@@ -16,7 +16,7 @@
 use crate::tree::{Taxonomy, TaxonomyVersion, TopicId};
 use std::collections::HashMap;
 use topics_net::domain::Domain;
-use topics_net::psl::registrable_domain;
+use topics_net::psl::{registrable_domain, registrable_str};
 use topics_net::seed;
 
 /// The result of classifying one site.
@@ -97,22 +97,22 @@ impl Classifier {
     /// Classify a host. Subdomains share the registrable domain's label,
     /// matching Chrome (`sport.example.com` and `example.com` agree).
     pub fn classify(&self, host: &Domain) -> Classification {
-        let reg = registrable_domain(host);
-        if let Some(t) = self.overrides.get(&reg) {
+        let reg = registrable_str(host);
+        if let Some(t) = self.overrides.get(reg) {
             return if t.is_empty() {
                 Classification::Unclassifiable
             } else {
                 Classification::Topics(t.clone())
             };
         }
-        self.fallback(&reg)
+        self.fallback(reg)
     }
 
     /// Hash-based fallback for unknown domains: deterministic 1–3 topics
     /// from the returnable set, or unclassifiable.
-    fn fallback(&self, reg: &Domain) -> Classification {
+    fn fallback(&self, reg: &str) -> Classification {
         let taxonomy = Taxonomy::of(self.version);
-        let s = seed::derive(self.seed, reg.as_str());
+        let s = seed::derive(self.seed, reg);
         if seed::unit_f64(seed::derive(s, "uncls")) < self.unclassifiable_rate {
             return Classification::Unclassifiable;
         }

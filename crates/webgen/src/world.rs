@@ -18,7 +18,7 @@ use topics_net::clock::Timestamp;
 use topics_net::dns::{DnsError, DnsPolicy, SimDns};
 use topics_net::domain::Domain;
 use topics_net::http::{HttpRequest, HttpResponse, OBSERVE_BROWSING_TOPICS};
-use topics_net::psl::registrable_domain;
+use topics_net::psl::{registrable_domain, registrable_str};
 use topics_net::seed;
 
 use topics_net::service::NetworkService;
@@ -255,7 +255,7 @@ impl World {
     /// A file only exists from its issue date onwards — probing before a
     /// platform enrolled returns 404, which the longitudinal experiment
     /// relies on.
-    fn serve_attestation(&self, reg: &Domain, now: Timestamp) -> HttpResponse {
+    fn serve_attestation(&self, reg: &str, now: Timestamp) -> HttpResponse {
         match self.party_by_domain.get(reg) {
             Some(&i) if self.registry[i].attested => {
                 let p = &self.registry[i];
@@ -288,9 +288,10 @@ impl NetworkService for World {
         // Pinned real-world domains (distillery.com) always resolve: the
         // paper positively observed them, so the ≈13% random failure
         // model must not erase them.
+        let reg = registrable_str(domain);
         if crate::site::special_domain_ranks()
             .iter()
-            .any(|(_, d)| d == &registrable_domain(domain))
+            .any(|(_, d)| d.as_str() == reg)
         {
             return Ok(());
         }
@@ -303,12 +304,12 @@ impl NetworkService for World {
 
     fn fetch(&self, req: &HttpRequest, now: Timestamp) -> Result<HttpResponse, NetError> {
         let host = req.url.host();
-        let reg = registrable_domain(host);
+        let reg = registrable_str(host);
         let path = req.url.path();
 
         // Attestation probes work against any host.
         if path == ATTESTATION_PATH {
-            return Ok(self.serve_attestation(&reg, now));
+            return Ok(self.serve_attestation(reg, now));
         }
 
         // GTM containers.
@@ -341,7 +342,7 @@ impl NetworkService for World {
         }
 
         // Sibling ad frames (ad.<label>.net).
-        if let Some(&rank) = self.sibling_by_domain.get(&reg) {
+        if let Some(&rank) = self.sibling_by_domain.get(reg) {
             if path == "/adframe" {
                 if let Some(gtm) = self.sites[rank].gtm.as_ref() {
                     return Ok(HttpResponse::ok(
@@ -354,7 +355,7 @@ impl NetworkService for World {
         }
 
         // Corporate parent frames.
-        if let Some(&calls) = self.parent_calls.get(&reg) {
+        if let Some(&calls) = self.parent_calls.get(reg) {
             if path == "/pframe" {
                 return Ok(HttpResponse::ok(
                     "text/html",
@@ -366,9 +367,9 @@ impl NetworkService for World {
 
         // Ranked sites — checked before parties so that distillery.com's
         // page wins over its party paths, which are disjoint anyway.
-        if let Some(&rank) = self.site_by_domain.get(&reg) {
+        if let Some(&rank) = self.site_by_domain.get(reg) {
             let spec = &self.sites[rank];
-            if let Some(&i) = self.party_by_domain.get(&reg) {
+            if let Some(&i) = self.party_by_domain.get(reg) {
                 // A domain that is both a ranked site and a platform
                 // (distillery.com): party paths take precedence for
                 // non-page requests.
@@ -380,7 +381,7 @@ impl NetworkService for World {
         }
 
         // Canonical domains of alias sites.
-        if let Some(&rank) = self.canonical_by_domain.get(&reg) {
+        if let Some(&rank) = self.canonical_by_domain.get(reg) {
             let spec = &self.sites[rank];
             if path == "/" {
                 let consented = Self::request_consented(req);
@@ -399,12 +400,12 @@ impl NetworkService for World {
         }
 
         // Ad platforms.
-        if let Some(&i) = self.party_by_domain.get(&reg) {
+        if let Some(&i) = self.party_by_domain.get(reg) {
             return Ok(self.serve_party(&self.registry[i], req));
         }
 
         // CMP loaders.
-        if let Some(cmp) = crate::cmp::cmp_by_domain(&reg) {
+        if let Some(cmp) = crate::cmp::cmp_by_domain(host) {
             return Ok(match path {
                 "/cmp.js" => HttpResponse::ok(
                     "text/javascript",
@@ -416,9 +417,9 @@ impl NetworkService for World {
         }
 
         // Minor third parties (cdn-*): inert scripts and pixels.
-        if reg.as_str().starts_with("cdn-") {
+        if reg.starts_with("cdn-") {
             return Ok(match path {
-                "/lib.js" => HttpResponse::ok("text/javascript", render::render_minor_script(&reg)),
+                "/lib.js" => HttpResponse::ok("text/javascript", render::render_minor_script(reg)),
                 "/p.gif" | "/b.gif" => HttpResponse::ok("image/gif", "GIF89a"),
                 _ => HttpResponse::not_found(),
             });

@@ -183,11 +183,11 @@ TOPICS_PERF_PREV="$PREV_LEDGER" \
     cargo run --release -q -p topics-bench --bin perf_smoke -- verify-history
 [ -n "$PREV_LEDGER" ] && rm -f "$PREV_LEDGER"
 
-echo "== perf smoke (time + memory vs last ledger entry) =="
-# Fails when the probe phase or full-report render is >1.30× the last
-# BENCH_summary.json entry, or allocated bytes / peak RSS exceed 1.25×;
-# skips itself when the history is missing or recorded at a different
-# TOPICS_BENCH_SITES.
+echo "== perf smoke (time + memory vs newest same-scale ledger entry) =="
+# Fails when the crawl, the probe phase, the full-report render or any
+# other time column is >1.30× the newest BENCH_summary.json entry at
+# this TOPICS_BENCH_SITES, or allocated bytes / peak RSS exceed 1.25×;
+# skips itself when the history has no entry at this scale.
 TOPICS_BENCH_SITES=2000 timeout 300 \
     cargo run --release -q -p topics-bench --bin perf_smoke
 

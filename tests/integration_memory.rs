@@ -5,12 +5,13 @@
 //! byte-identical stripped trace, at any probe-thread count. With it
 //! on, the trace carries per-phase/per-span allocation attribution that
 //! `mem_profile` can report and the doctor's allocation-balance check
-//! can audit — on clean and fault-injected campaigns alike.
+//! can audit — on clean and fault-injected campaigns alike. The same
+//! attribution holds the page-load path to an allocation budget.
 
 use std::sync::Mutex;
 use topics_core::analysis::dataset::Datasets;
 use topics_core::net::fault::FaultProfile;
-use topics_core::obs::{alloc, mem_profile, Obs, Trace};
+use topics_core::obs::{alloc, mem_profile, FieldValue, Obs, Trace};
 use topics_core::{diagnose, Lab, LabConfig};
 
 /// The test binary routes its heap through the counting allocator, the
@@ -117,6 +118,42 @@ fn attribution_reaches_phases_visits_and_memprofile() {
 
     // The stripped trace keeps determinism: no alloc fields survive.
     assert!(!out.stripped_trace.contains("alloc_bytes"));
+}
+
+/// Allocations one page load may make on average, trace fields
+/// included. The page-load path borrows hosts, registrable domains, URL
+/// parts, tag names and cached bodies and makes about 630 here; with an
+/// owned copy of each it made about 1,600, so reintroducing owned
+/// strings per exchange or a lowercase copy per scanned tag breaks the
+/// budget.
+const PAGE_LOAD_ALLOC_BUDGET: f64 = 800.0;
+
+#[test]
+fn page_loads_stay_within_the_allocation_budget() {
+    let _gate = GATE.lock().unwrap();
+    let out = run(LabConfig::quick(73, SITES).with_threads(1), true);
+    let page_loads: Vec<_> = out
+        .trace
+        .spans
+        .iter()
+        .filter(|s| s.name == "page-load")
+        .collect();
+    assert!(page_loads.len() > SITES, "{} page loads", page_loads.len());
+    let allocs: u64 = page_loads
+        .iter()
+        .filter_map(|s| match s.field("alloc_count") {
+            Some(FieldValue::U64(n)) => Some(*n),
+            _ => None,
+        })
+        .sum();
+    assert!(allocs > 0, "page loads carry allocation attribution");
+    let per_page_load = allocs as f64 / page_loads.len() as f64;
+    assert!(
+        per_page_load <= PAGE_LOAD_ALLOC_BUDGET,
+        "{per_page_load:.0} allocations per page load over {} page loads \
+         (budget {PAGE_LOAD_ALLOC_BUDGET})",
+        page_loads.len()
+    );
 }
 
 #[test]
