@@ -9,10 +9,10 @@
 
 use crate::anomalous::AnomalousStats;
 use crate::cmp_usage::Fig7;
-use crate::dataset::{DatasetId, Datasets};
 use crate::figures::{GeoRow, PresenceRow, QuestionableRow};
 use crate::table1::Table1;
 use crate::timeline::Timeline;
+use topics_crawler::record::{CampaignOutcome, Phase, VisitRecord};
 use topics_net::region::Region;
 
 /// Escape one CSV field (RFC 4180 style).
@@ -37,41 +37,45 @@ pub fn csv_line<I: IntoIterator<Item = S>, S: AsRef<str>>(fields: I) -> String {
 ///
 /// Columns mirror what the paper's modified
 /// `BrowsingTopicsSiteDataManagerImpl` logs, plus our context fields.
-pub fn calls_csv(ds: &Datasets<'_>) -> String {
+pub fn calls_csv(outcome: &CampaignOutcome) -> String {
     let mut out = String::from(
         "phase,website,caller,caller_site,call_type,root_context,script_source,permitted,topics_returned,timestamp_ms\n",
     );
-    for (id, phase) in [
-        (DatasetId::BeforeAccept, "before_accept"),
-        (DatasetId::AfterAccept, "after_accept"),
-    ] {
-        for v in ds.visits(id) {
-            for c in &v.topics_calls {
-                out.push_str(&csv_line([
-                    phase,
-                    v.website.as_str(),
-                    c.caller.as_str(),
-                    c.caller_site.as_str(),
-                    c.call_type.label(),
-                    if c.root_context { "root" } else { "iframe" },
-                    c.script_source.as_ref().map(|d| d.as_str()).unwrap_or(""),
-                    if c.permitted() { "1" } else { "0" },
-                    &c.topics_returned.to_string(),
-                    &c.timestamp.millis().to_string(),
-                ]));
-                out.push('\n');
-            }
+    let mut rows = |phase: &str, v: &VisitRecord| {
+        for c in &v.topics_calls {
+            out.push_str(&csv_line([
+                phase,
+                v.website.as_str(),
+                c.caller.as_str(),
+                c.caller_site.as_str(),
+                c.call_type.label(),
+                if c.root_context { "root" } else { "iframe" },
+                c.script_source.as_ref().map(|d| d.as_str()).unwrap_or(""),
+                if c.permitted() { "1" } else { "0" },
+                &c.topics_returned.to_string(),
+                &c.timestamp.millis().to_string(),
+            ]));
+            out.push('\n');
         }
+    };
+    // D_BA then D_AA, each in site-rank order, as `Datasets::visits`
+    // lists them.
+    for v in outcome.sites.iter().filter_map(|s| s.before.as_ref()) {
+        rows("before_accept", v);
+    }
+    let after = outcome.sites.iter().filter_map(|s| s.after.as_ref());
+    for v in after.filter(|v| v.phase == Phase::AfterAccept) {
+        rows("after_accept", v);
     }
     out
 }
 
 /// Per-site summary: one row per ranked site.
-pub fn sites_csv(ds: &Datasets<'_>) -> String {
+pub fn sites_csv(outcome: &CampaignOutcome) -> String {
     let mut out = String::from(
         "rank,website,region,visited,accepted,banner_found,parties_before,parties_after,calls_before,calls_after\n",
     );
-    for s in &ds.outcome().sites {
+    for s in &outcome.sites {
         let region = Region::of(&s.website).label();
         let b = s.before.as_ref();
         let a = s.after.as_ref();
@@ -200,7 +204,7 @@ pub fn timeline_csv(t: &Timeline) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::Datasets;
+    use crate::dataset::{DatasetId, Datasets};
     use crate::testutil::tiny_outcome;
     use crate::{anomalous, cmp_usage, figures, table1 as t1, timeline as tl};
 
@@ -215,8 +219,7 @@ mod tests {
     #[test]
     fn calls_csv_has_one_row_per_call() {
         let outcome = tiny_outcome();
-        let ds = Datasets::new(&outcome);
-        let csv = calls_csv(&ds);
+        let csv = calls_csv(&outcome);
         let total_calls: usize = outcome
             .sites
             .iter()
@@ -228,13 +231,44 @@ mod tests {
         assert!(csv.contains("before_accept"));
         assert!(csv.contains("after_accept"));
         assert!(csv.contains("googletagmanager"));
+        // Rows follow the dataset views: D_BA, then D_AA, by rank; an
+        // After-Reject visit is in neither.
+        let mut rejected = outcome.clone();
+        let flipped = rejected.sites.iter_mut().find_map(|s| s.after.as_mut());
+        flipped.expect("an after visit").phase = Phase::AfterReject;
+        for outcome in [outcome, rejected] {
+            assert_calls_follow_the_datasets(&outcome);
+        }
+    }
+
+    fn assert_calls_follow_the_datasets(outcome: &CampaignOutcome) {
+        let csv = calls_csv(outcome);
+        let ds = Datasets::new(outcome);
+        let expected: Vec<String> = [
+            (DatasetId::BeforeAccept, "before_accept"),
+            (DatasetId::AfterAccept, "after_accept"),
+        ]
+        .into_iter()
+        .flat_map(|(id, phase)| {
+            ds.visits(id).flat_map(move |v| {
+                v.topics_calls
+                    .iter()
+                    .map(move |c| format!("{phase},{},{}", v.website, c.caller))
+            })
+        })
+        .collect();
+        let got: Vec<String> = csv
+            .lines()
+            .skip(1)
+            .map(|l| l.splitn(4, ',').take(3).collect::<Vec<_>>().join(","))
+            .collect();
+        assert_eq!(got, expected);
     }
 
     #[test]
     fn sites_csv_covers_every_ranked_site() {
         let outcome = tiny_outcome();
-        let ds = Datasets::new(&outcome);
-        let csv = sites_csv(&ds);
+        let csv = sites_csv(&outcome);
         assert_eq!(csv.lines().count(), 1 + outcome.sites.len());
         assert!(csv.contains("site-b.ru,.ru,1,0"));
         assert!(csv.contains("dead-site.com,.com,0,0"));

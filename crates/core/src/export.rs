@@ -122,7 +122,6 @@ pub fn write_artefacts(
     full_scale: bool,
 ) -> io::Result<()> {
     fs::create_dir_all(dir)?;
-    let ds = Datasets::new(outcome);
     fs::write(dir.join("report.txt"), eval.render_report())?;
     let rows = crate::compare::comparison_rows(eval, full_scale);
     fs::write(
@@ -130,8 +129,8 @@ pub fn write_artefacts(
         crate::compare::render_comparison(&rows),
     )?;
 
-    fs::write(dir.join("calls.csv"), csv::calls_csv(&ds))?;
-    fs::write(dir.join("sites.csv"), csv::sites_csv(&ds))?;
+    fs::write(dir.join("calls.csv"), csv::calls_csv(outcome))?;
+    fs::write(dir.join("sites.csv"), csv::sites_csv(outcome))?;
     fs::write(dir.join("table1.csv"), csv::table1_csv(&eval.table1))?;
     fs::write(dir.join("fig2_presence.csv"), csv::presence_csv(&eval.fig2))?;
     fs::write(

@@ -12,7 +12,7 @@ use topics_browser::observer::{CallType, ObjectEvent, TopicsCallEvent};
 use topics_net::clock::Timestamp;
 use topics_net::domain::Domain;
 use topics_net::http::ResourceKind;
-use topics_net::psl::RegDomainMemo;
+use topics_net::psl::{registrable_domain, registrable_str};
 
 /// Which of the two visits a record belongs to (§2.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -51,18 +51,13 @@ pub struct TopicsCallRecord {
 impl TopicsCallRecord {
     /// Build from a browser instrumentation event.
     pub fn from_event(e: &TopicsCallEvent) -> TopicsCallRecord {
-        Self::from_event_memo(e, &mut RegDomainMemo::new())
+        Self::with_caller_site(e, registrable_domain(&e.caller))
     }
 
-    /// Build from an event, resolving the caller's registrable domain
-    /// through `memo` — the hot path on every topics call. Callers that
-    /// repeat within a visit (the common case: one tag fires on every
-    /// page region) cost one hash lookup instead of a suffix scan, and
-    /// equal `caller_site` values share one `Arc` allocation.
-    pub fn from_event_memo(e: &TopicsCallEvent, memo: &mut RegDomainMemo) -> TopicsCallRecord {
+    fn with_caller_site(e: &TopicsCallEvent, caller_site: Domain) -> TopicsCallRecord {
         TopicsCallRecord {
             caller: e.caller.clone(),
-            caller_site: memo.resolve(&e.caller),
+            caller_site,
             call_type: e.call_type,
             root_context: e.root_context,
             script_source: e.script_source.clone(),
@@ -120,18 +115,33 @@ impl VisitRecord {
         started: Timestamp,
         duration_ms: u64,
     ) -> VisitRecord {
-        let mut memo = RegDomainMemo::new();
+        // Registrable domains are compared as borrowed slices of the
+        // host; a party is copied once, on first sight, and a calling
+        // party already on the page shares that copy.
         let mut party_domains: Vec<Domain> = Vec::new();
         let mut failed = 0usize;
         for o in objects {
             if !o.ok {
                 failed += 1;
             }
-            let reg = memo.resolve(o.url.host());
-            if !party_domains.contains(&reg) {
-                party_domains.push(reg);
+            let host = o.url.host();
+            let reg = registrable_str(host);
+            if !party_domains.iter().any(|d| d.as_str() == reg) {
+                party_domains.push(registrable_domain(host));
             }
         }
+        let topics_calls = calls
+            .iter()
+            .map(|e| {
+                let reg = registrable_str(&e.caller);
+                let site = party_domains
+                    .iter()
+                    .find(|d| d.as_str() == reg)
+                    .cloned()
+                    .unwrap_or_else(|| registrable_domain(&e.caller));
+                TopicsCallRecord::with_caller_site(e, site)
+            })
+            .collect();
         VisitRecord {
             phase,
             website,
@@ -139,10 +149,7 @@ impl VisitRecord {
             party_domains,
             object_count: objects.len(),
             failed_objects: failed,
-            topics_calls: calls
-                .iter()
-                .map(|e| TopicsCallRecord::from_event_memo(e, &mut memo))
-                .collect(),
+            topics_calls,
             banner_found,
             started,
             duration_ms,

@@ -50,26 +50,26 @@ pub fn is_public_suffix(suffix: &str) -> bool {
 /// `www.example.co.uk` → `co.uk`; `www.example.com` → `com`.
 pub fn public_suffix(domain: &Domain) -> &str {
     let host = domain.as_str();
-    // Try the last two labels as a multi-label suffix.
-    if let Some(idx) = host.rfind('.') {
-        if let Some(idx2) = host[..idx].rfind('.') {
-            let two = &host[idx2 + 1..];
-            if MULTI_LABEL_SUFFIXES.contains(&two) {
-                return two;
-            }
-        } else {
-            // Exactly two labels: if both labels together form a suffix the
-            // whole host IS a public suffix; callers handle that case via
-            // `registrable_domain` returning the host itself.
-            let two = host;
-            if MULTI_LABEL_SUFFIXES.contains(&two) {
-                return two;
-            }
+    let bytes = host.as_bytes();
+    let Some(last_dot) = bytes.iter().rposition(|&b| b == b'.') else {
+        return host;
+    };
+    let tld = &host[last_dot + 1..];
+    // Every multi-label suffix in the table ends in a two-letter country
+    // code, so only such a host can have one; the rest skip the table.
+    if tld.len() == 2 {
+        let start = bytes[..last_dot]
+            .iter()
+            .rposition(|&b| b == b'.')
+            .map_or(0, |i| i + 1);
+        // With exactly two labels the whole host may be a bare suffix;
+        // `registrable_str` then returns the host itself.
+        let two = &host[start..];
+        if MULTI_LABEL_SUFFIXES.contains(&two) {
+            return two;
         }
-        &host[idx + 1..]
-    } else {
-        host
     }
+    tld
 }
 
 /// The registrable domain (eTLD+1) of a host, as a slice of the host.
@@ -89,12 +89,12 @@ pub fn public_suffix(domain: &Domain) -> &str {
 /// ```
 pub fn registrable_str(domain: &Domain) -> &str {
     let host = domain.as_str();
-    let suffix = public_suffix(domain);
-    if host.len() == suffix.len() {
+    let suffix_len = public_suffix(domain).len();
+    if host.len() == suffix_len {
         return host;
     }
-    let prefix = &host[..host.len() - suffix.len() - 1];
-    let start = prefix.rfind('.').map_or(0, |i| i + 1);
+    let prefix = &host.as_bytes()[..host.len() - suffix_len - 1];
+    let start = prefix.iter().rposition(|&b| b == b'.').map_or(0, |i| i + 1);
     &host[start..]
 }
 
@@ -120,46 +120,6 @@ pub fn registrable_domain(domain: &Domain) -> Domain {
         domain.clone()
     } else {
         Domain::from_label_suffix(reg)
-    }
-}
-
-/// Memoized [`registrable_domain`] resolution, keyed by full host.
-///
-/// A crawl resolves the registrable domain of the same handful of hosts
-/// over and over (every object load, every Topics call). The memo hands
-/// out `Arc`-shared clones of the first resolution, so every equal
-/// registrable domain within one memo's lifetime shares one storage —
-/// the seed of the columnar store's intern table — and a repeated
-/// subdomain host costs a hash lookup instead of a fresh copy.
-#[derive(Debug, Default)]
-pub struct RegDomainMemo {
-    map: std::collections::HashMap<Domain, Domain>,
-}
-
-impl RegDomainMemo {
-    /// An empty memo.
-    pub fn new() -> RegDomainMemo {
-        RegDomainMemo::default()
-    }
-
-    /// The registrable domain of `host`, computed once per distinct host.
-    pub fn resolve(&mut self, host: &Domain) -> Domain {
-        if let Some(reg) = self.map.get(host) {
-            return reg.clone();
-        }
-        let reg = registrable_domain(host);
-        self.map.insert(host.clone(), reg.clone());
-        reg
-    }
-
-    /// Number of distinct hosts resolved so far.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no host has been resolved yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -258,15 +218,13 @@ mod tests {
     }
 
     #[test]
-    fn memo_matches_direct_resolution() {
-        let mut memo = RegDomainMemo::new();
-        assert!(memo.is_empty());
-        let hosts = ["www.example.com", "a.b.example.co.uk", "www.example.com"];
-        for h in hosts {
-            let host = d(h);
-            assert_eq!(memo.resolve(&host), registrable_domain(&host));
+    fn every_multi_label_suffix_ends_in_a_two_letter_label() {
+        // `public_suffix` consults the table only for such hosts.
+        for suffix in MULTI_LABEL_SUFFIXES {
+            let (_, tld) = suffix.rsplit_once('.').expect("multi-label");
+            assert_eq!(tld.len(), 2, "{suffix}");
+            assert_eq!(public_suffix(&d(&format!("www.x.{suffix}"))), *suffix);
         }
-        assert_eq!(memo.len(), 2, "repeat hosts hit the cache");
     }
 
     #[test]

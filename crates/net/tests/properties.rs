@@ -5,7 +5,8 @@ use topics_net::clock::Timestamp;
 use topics_net::domain::Domain;
 use topics_net::http::parse_topics_header;
 use topics_net::psl::{
-    public_suffix, registrable_domain, registrable_str, same_second_level_label, same_site,
+    is_public_suffix, public_suffix, registrable_domain, registrable_str, same_second_level_label,
+    same_site,
 };
 use topics_net::region::Region;
 use topics_net::seed;
@@ -24,19 +25,39 @@ fn valid_domain() -> impl Strategy<Value = String> {
 /// bare suffixes and, for single-label suffixes, invalid hosts.
 fn psl_host() -> impl Strategy<Value = String> {
     let suffix = prop_oneof![
-        Just("com"),
-        Just("uk"),
-        Just("co.uk"),
-        Just("ne.jp"),
-        Just("com.br"),
-        Just("example.net"),
-        Just("CO.UK"),
+        Just("com".to_owned()),
+        Just("uk".to_owned()),
+        Just("co.uk".to_owned()),
+        Just("ne.jp".to_owned()),
+        Just("com.br".to_owned()),
+        Just("example.net".to_owned()),
+        Just("CO.UK".to_owned()),
+        // Short final labels around the two-letter boundary, after a
+        // label that does or does not form a table suffix with them.
+        (0..5usize, "[a-z0-9]{1,3}")
+            .prop_map(|(i, tld)| format!("{}.{tld}", ["co", "com", "ne", "or", "xy"][i])),
     ];
     let labels = prop::collection::vec("[a-zA-Z0-9][a-zA-Z0-9-]{0,6}[a-zA-Z0-9]", 0..=3);
     (labels, suffix).prop_map(|(mut labels, suffix)| {
-        labels.push(suffix.to_owned());
+        labels.push(suffix);
         labels.join(".")
     })
+}
+
+/// The public suffix as computed before the two-letter shortcut: look
+/// the last two labels up in the suffix table whatever the final label,
+/// else take the final label.
+fn public_suffix_reference(domain: &Domain) -> &str {
+    let host = domain.as_str();
+    let Some(idx) = host.rfind('.') else {
+        return host;
+    };
+    let two = &host[host[..idx].rfind('.').map_or(0, |i| i + 1)..];
+    if two.contains('.') && is_public_suffix(two) {
+        two
+    } else {
+        &host[idx + 1..]
+    }
 }
 
 /// The registrable domain as computed before [`registrable_str`]
@@ -44,7 +65,7 @@ fn psl_host() -> impl Strategy<Value = String> {
 /// validate the result again with [`Domain::parse`].
 fn registrable_reference(domain: &Domain) -> Domain {
     let host = domain.as_str();
-    let suffix = public_suffix(domain);
+    let suffix = public_suffix_reference(domain);
     if host == suffix {
         return domain.clone();
     }
@@ -61,6 +82,7 @@ proptest! {
             prop_assert!(!host.contains('.'));
             return;
         };
+        prop_assert_eq!(public_suffix(&d), public_suffix_reference(&d));
         let reference = registrable_reference(&d);
         prop_assert_eq!(registrable_str(&d), reference.as_str());
         prop_assert_eq!(registrable_domain(&d), reference.clone());

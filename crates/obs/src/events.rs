@@ -59,6 +59,30 @@ pub enum FieldValue {
     Bool(bool),
 }
 
+impl FieldValue {
+    /// Append the value as JSON, externally tagged like the serde
+    /// derive (`{"U64":5}`, `{"Str":"x"}`). A non-finite float, which
+    /// JSON cannot hold, is written as `{"F64":null}`; the reader
+    /// rejects that with a typed error instead of guessing a value.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        // Numbers use `Display`, as the serde writer does.
+        let written = match self {
+            FieldValue::U64(v) => write!(out, "{{\"U64\":{v}}}"),
+            FieldValue::I64(v) => write!(out, "{{\"I64\":{v}}}"),
+            FieldValue::F64(v) if v.is_finite() => write!(out, "{{\"F64\":{v}}}"),
+            FieldValue::F64(_) => out.write_str("{\"F64\":null}"),
+            FieldValue::Bool(v) => write!(out, "{{\"Bool\":{v}}}"),
+            FieldValue::Str(v) => {
+                out.push_str("{\"Str\":");
+                write_json_str(out, v);
+                out.write_char('}')
+            }
+        };
+        written.expect("writing to a String cannot fail");
+    }
+}
+
 impl std::fmt::Display for FieldValue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -69,6 +93,70 @@ impl std::fmt::Display for FieldValue {
             FieldValue::Bool(v) => write!(f, "{v}"),
         }
     }
+}
+
+/// Append `s` as a JSON string literal, escaped exactly as the vendored
+/// `serde_json` writer escapes it: `"`, `\`, `\n`, `\r` and `\t` get
+/// their short escapes, other control characters below U+0020 become
+/// `\u00XX`, and everything else (U+007F and non-ASCII included) is
+/// copied through.
+pub(crate) fn write_json_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    // Every byte that needs escaping is ASCII, so runs between them are
+    // whole UTF-8 sequences and can be copied as `str` slices.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
+            }
+        }
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Append an ordered field list as the serde derive writes a
+/// `Vec<(String, FieldValue)>`: an array of `["key", value]` pairs.
+pub(crate) fn write_json_fields(out: &mut String, fields: &[(String, FieldValue)]) {
+    out.push('[');
+    for (i, (k, v)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        write_json_str(out, k);
+        out.push(',');
+        v.write_json(out);
+        out.push(']');
+    }
+    out.push(']');
+}
+
+/// Roughly the bytes [`write_json_fields`] appends for `fields`, for
+/// pre-sizing an export buffer.
+pub(crate) fn fields_len_hint(fields: &[(String, FieldValue)]) -> usize {
+    let payload = |v: &FieldValue| match v {
+        FieldValue::Str(s) => s.len(),
+        _ => 8,
+    };
+    2 + fields
+        .iter()
+        .map(|(k, v)| k.len() + 16 + payload(v))
+        .sum::<usize>()
 }
 
 impl From<u64> for FieldValue {
@@ -127,6 +215,33 @@ impl Event {
     /// Value of a field, if present.
     pub fn field(&self, key: &str) -> Option<&FieldValue> {
         self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    fn json_len_hint(&self) -> usize {
+        80 + self.name.len() + fields_len_hint(&self.fields)
+    }
+
+    /// Append the event as one compact JSON object, byte-identical to
+    /// `serde_json::to_string` of the derived `Serialize`.
+    fn write_json(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        out.push_str("{\"level\":\"");
+        out.push_str(match self.level {
+            Level::Debug => "Debug",
+            Level::Info => "Info",
+            Level::Warn => "Warn",
+            Level::Error => "Error",
+        });
+        out.push_str("\",\"name\":");
+        write_json_str(out, &self.name);
+        let written = match self.sim_ms {
+            Some(ms) => write!(out, ",\"wall_us\":{},\"sim_ms\":{ms}", self.wall_us),
+            None => write!(out, ",\"wall_us\":{},\"sim_ms\":null", self.wall_us),
+        };
+        written.expect("writing to a String cannot fail");
+        out.push_str(",\"fields\":");
+        write_json_fields(out, &self.fields);
+        out.push('}');
     }
 }
 
@@ -229,9 +344,10 @@ impl EventLog {
 
     /// Serialise the log as JSON Lines: one event object per line.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for event in self.events.lock().iter() {
-            out.push_str(&serde_json::to_string(event).expect("event serialises"));
+        let events = self.events.lock();
+        let mut out = String::with_capacity(events.iter().map(Event::json_len_hint).sum());
+        for event in events.iter() {
+            event.write_json(&mut out);
             out.push('\n');
         }
         out

@@ -25,7 +25,7 @@
 //! [`Trace::stripped`] drops them together with the wall-clock fields,
 //! yielding the seed-reproducible view the determinism suite compares.
 
-use crate::events::FieldValue;
+use crate::events::{fields_len_hint, write_json_fields, write_json_str, FieldValue};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -292,14 +292,6 @@ impl Tracer {
                 }
             }
         }
-        // Stable partition: deterministic spans keep their attach order
-        // and take IDs 2..; operational spans follow.
-        let mut order: Vec<usize> = (0..raw.len()).collect();
-        order.sort_by_key(|&i| (raw[i].op, i));
-        let mut new_id = vec![0u64; raw.len()];
-        for (pos, &i) in order.iter().enumerate() {
-            new_id[i] = pos as u64 + 2;
-        }
         let sim_start = raw
             .iter()
             .filter(|s| !s.op)
@@ -310,6 +302,19 @@ impl Tracer {
             .filter(|s| !s.op)
             .filter_map(|s| s.sim_end_ms)
             .max();
+        // Stable partition: deterministic spans keep their attach order
+        // and take IDs 2..; operational spans follow.
+        let det = raw.iter().filter(|s| !s.op).count() as u64;
+        let (mut next_det, mut next_op) = (2u64, 2 + det);
+        let new_id: Vec<u64> = raw
+            .iter()
+            .map(|s| {
+                let next = if s.op { &mut next_op } else { &mut next_det };
+                let id = *next;
+                *next += 1;
+                id
+            })
+            .collect();
         let mut spans = Vec::with_capacity(raw.len() + 1);
         spans.push(SpanRecord {
             id: 1,
@@ -322,20 +327,26 @@ impl Tracer {
             wall_end_us: finished_wall,
             fields: Vec::new(),
         });
-        for &i in &order {
-            let s = &raw[i];
-            spans.push(SpanRecord {
-                id: new_id[i],
-                parent: Some(s.parent.map(|p| new_id[p]).unwrap_or(1)),
-                name: s.name.clone(),
+        let mut op_spans = Vec::new();
+        for (s, &id) in raw.into_iter().zip(&new_id) {
+            let record = SpanRecord {
+                id,
+                parent: Some(s.parent.map_or(1, |p| new_id[p])),
+                name: s.name,
                 op: s.op,
                 sim_start_ms: s.sim_start_ms,
                 sim_end_ms: s.sim_end_ms,
                 wall_start_us: s.wall_start_us,
                 wall_end_us: s.wall_end_us,
-                fields: s.fields.clone(),
-            });
+                fields: s.fields,
+            };
+            if record.op {
+                op_spans.push(record);
+            } else {
+                spans.push(record);
+            }
         }
+        spans.append(&mut op_spans);
         Trace { spans }
     }
 }
@@ -477,6 +488,47 @@ impl SpanRecord {
     pub fn wall_duration_us(&self) -> u64 {
         self.wall_end_us.saturating_sub(self.wall_start_us)
     }
+
+    fn json_len_hint(&self) -> usize {
+        160 + self.name.len() + fields_len_hint(&self.fields)
+    }
+
+    /// Append the span as one compact JSON object, byte-identical to
+    /// `serde_json::to_string` of the derived `Serialize`: fields in
+    /// declaration order, each omitted where its `skip_serializing_if`
+    /// says so.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        fn num(out: &mut String, key: &str, v: u64) {
+            write!(out, ",\"{key}\":{v}").expect("writing to a String cannot fail");
+        }
+        write!(out, "{{\"id\":{}", self.id).expect("writing to a String cannot fail");
+        if let Some(p) = self.parent {
+            num(out, "parent", p);
+        }
+        out.push_str(",\"name\":");
+        write_json_str(out, &self.name);
+        if self.op {
+            out.push_str(",\"op\":true");
+        }
+        if let Some(ms) = self.sim_start_ms {
+            num(out, "sim_start_ms", ms);
+        }
+        if let Some(ms) = self.sim_end_ms {
+            num(out, "sim_end_ms", ms);
+        }
+        if self.wall_start_us != 0 {
+            num(out, "wall_start_us", self.wall_start_us);
+        }
+        if self.wall_end_us != 0 {
+            num(out, "wall_end_us", self.wall_end_us);
+        }
+        if !self.fields.is_empty() {
+            out.push_str(",\"fields\":");
+            write_json_fields(out, &self.fields);
+        }
+        out.push('}');
+    }
 }
 
 /// A sealed, immutable span tree.
@@ -526,11 +578,14 @@ impl Trace {
         }
     }
 
-    /// JSONL export: one span object per line, in sealed order.
+    /// JSONL export: one span object per line, in sealed order. Each
+    /// line is written straight from the record and is byte-identical to
+    /// `serde_json::to_string` of it, which [`Trace::from_jsonl`] reads.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        let hint = self.spans.iter().map(SpanRecord::json_len_hint).sum();
+        let mut out = String::with_capacity(hint);
         for span in &self.spans {
-            out.push_str(&serde_json::to_string(span).expect("span serialises"));
+            span.write_json(&mut out);
             out.push('\n');
         }
         out
@@ -608,18 +663,19 @@ impl Trace {
                 _ => (s.wall_start_us, s.wall_duration_us().max(1)),
             };
             let track = if s.op { 900 + tid[i] } else { tid[i] };
+            out.push_str("{\"name\":");
+            write_json_str(&mut out, &s.name);
             out.push_str(&format!(
-                "{{\"name\":{},\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\"pid\":1,\"tid\":{track},\"args\":{{\"id\":{},\"parent\":{}",
-                json_escape(&s.name),
+                ",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\"pid\":1,\"tid\":{track},\"args\":{{\"id\":{},\"parent\":{}",
                 s.id,
                 s.parent.unwrap_or(0),
             ));
             for (k, v) in &s.fields {
                 out.push(',');
-                out.push_str(&json_escape(k));
+                write_json_str(&mut out, k);
                 out.push(':');
                 match v {
-                    FieldValue::Str(t) => out.push_str(&json_escape(t)),
+                    FieldValue::Str(t) => write_json_str(&mut out, t),
                     other => out.push_str(&other.to_string()),
                 }
             }
@@ -910,25 +966,6 @@ pub fn merge_stripped(traces: &[Trace], rules: &[(&str, MergeRule)]) -> Result<T
     Ok(Trace { spans: out })
 }
 
-/// Minimal JSON string escaping for the Chrome exporter.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1073,8 +1110,13 @@ mod tests {
 
     #[test]
     fn json_escape_handles_control_characters() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_escape("\u{1}"), "\"\\u0001\"");
+        let escape = |s: &str| {
+            let mut out = String::new();
+            write_json_str(&mut out, s);
+            out
+        };
+        assert_eq!(escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(escape("\u{1}\u{1f}\u{7f}é"), "\"\\u0001\\u001f\u{7f}é\"");
     }
 
     /// Attach one deterministic visit subtree for `rank`.
