@@ -2,8 +2,9 @@
 //!
 //! A sharded campaign pays three costs the single-process run does not:
 //! encoding each shard's segment, decoding every segment back, and the
-//! deterministic merge that must reproduce `campaign.json` byte for
-//! byte. The split here is synthesised from the shared campaign via
+//! deterministic merge that must reproduce `campaign.col` byte for
+//! byte. The merge bench times what `topics-lab merge` runs, minus disk
+//! I/O: decode, then stream through the merge into the columnar store. The split here is synthesised from the shared campaign via
 //! `split_outcome`, so the segments carry exactly the payload a real
 //! `topics-lab shard` run would write (traces excluded — trace merge is
 //! covered by the obs unit suite).
@@ -11,7 +12,7 @@
 use criterion::Criterion;
 use std::hint::black_box;
 use topics_bench::{banner, shared};
-use topics_core::crawler::{merge_segments, split_outcome, Segment, ShardPlan};
+use topics_core::crawler::{split_outcome, Segment, ShardPlan};
 use topics_core::net::seed;
 
 fn main() {
@@ -58,7 +59,13 @@ fn main() {
             })
         });
         c.bench_function(&format!("shard/merge-{shards}"), |b| {
-            b.iter(|| black_box(merge_segments(&segments).expect("own segments merge")))
+            b.iter(|| {
+                let segments = encoded
+                    .iter()
+                    .map(|e| Segment::decode(e).map_err(|e| e.to_string()));
+                let (store, _) = topics_core::merge_stream(segments).expect("own segments merge");
+                black_box(store.bytes().len())
+            })
         });
     }
     c.final_summary();

@@ -87,9 +87,11 @@ pub struct BenchSummary {
     /// from older builds or off Linux.
     #[serde(default)]
     pub peak_rss_bytes: u64,
-    /// Wall-clock milliseconds to decode a 4-way segment split, merge
-    /// it, and re-serialise the merged campaign; 0 in entries from
-    /// older builds. Skipped from the encoding when zero so legacy
+    /// Wall-clock milliseconds to decode a 4-way segment split and
+    /// stream it through the merge into the columnar store (what
+    /// `topics-lab merge` runs, minus disk I/O); entries recorded before
+    /// the JSON store was retired timed decode + batch merge + JSON
+    /// re-serialisation instead. 0 in entries from older builds. Skipped from the encoding when zero so legacy
     /// entries keep their recorded [`chain_digest`].
     #[serde(default, skip_serializing_if = "u64_is_zero")]
     pub shard_merge_wall_ms: u64,

@@ -7,17 +7,14 @@
 //!                    [--metrics-out FILE] [--events-out FILE]
 //!                    [--fault-profile off|light|heavy|RATE] [--fault-seed S]
 //!                    [--probe-threads N] [--trace-out FILE] [--alloc-stats]
-//!                    [--store json|columnar]
 //!     Generate a synthetic web, run the Before/After-Accept campaign,
-//!     and write the artefact bundle (campaign dataset, report,
+//!     and write the artefact bundle (the campaign.col store, report,
 //!     comparison, per-figure CSVs) to DIR (default: ./topics-lab-out).
-//!     --store picks the dataset backend: `json` (campaign.json, the
-//!     default row store) or `columnar` (campaign.col, the interned
-//!     struct-of-arrays store with checksummed sections). Every other
-//!     artefact is byte-identical between the two. With
+//!     campaign.col is the dataset: every visit, call and probe in an
+//!     interned struct-of-arrays layout with checksummed sections. With
 //!     --metrics-out / --events-out, also write the Prometheus-style
 //!     metrics snapshot and the JSONL event stream (relative paths land
-//!     next to campaign.json). --fault-profile injects seeded network
+//!     next to campaign.col). --fault-profile injects seeded network
 //!     faults (DNS failures, resets, 5xx, slow responses, truncated
 //!     attestations) at a named band or uniform RATE in [0,1];
 //!     --fault-seed repositions the faults without changing the world.
@@ -48,16 +45,14 @@
 //!     schedules are derived from the *global* rank, so the shards of a
 //!     seed reassemble byte-identically.
 //!
-//! topics-lab merge   --segments DIR [--out DIR] [--store json|columnar]
+//! topics-lab merge   --segments DIR [--out DIR]
 //!     Verify and merge every *.seg in DIR back into one campaign:
 //!     checks each segment's checksum, shard coverage and header
-//!     agreement, reassembles the outcome, and writes the same artefact
-//!     bundle `crawl` writes (campaign dataset, report, CSVs) plus the
-//!     merged stripped trace (trace.jsonl) to DIR (default: the
-//!     segments directory). With --store columnar, segments stream one
-//!     at a time straight into the columnar writer and campaign.col is
-//!     byte-identical to a single-process `crawl --store columnar`.
-//!     The bundle is byte-identical to a single-process `crawl` of the
+//!     agreement, streams the segments one at a time into the columnar
+//!     writer, and writes the same artefact bundle `crawl` writes
+//!     (campaign.col, report, CSVs) plus the merged stripped trace
+//!     (trace.jsonl) to DIR (default: the segments directory). The
+//!     bundle is byte-identical to a single-process `crawl` of the
 //!     same seed. Exits non-zero with a named violation on truncated,
 //!     corrupted, duplicated or missing segments.
 //!
@@ -86,7 +81,7 @@
 //!     self/total time, worker utilization, retry hot-spots, allocation
 //!     balance (phase windows vs attributed children, when the trace
 //!     carries memory attribution), and the top-N slowest visits.
-//!     --campaign accepts the bundle directory or the campaign.json
+//!     --campaign accepts the bundle directory or the campaign.col
 //!     path; --trace defaults to trace.jsonl next to it. With --trace
 //!     and no --campaign, runs in trace-only mode: integrity,
 //!     phases and allocation balance without campaign reconciliation
@@ -104,25 +99,24 @@
 //!     the bundle directory. Exits non-zero when the trace carries no
 //!     allocation attribution.
 //!
-//! topics-lab report  --campaign DIR|FILE [--store json|columnar]
-//!     Re-render the evaluation report from a dumped campaign. The
-//!     backend is sniffed from the file's magic bytes, so either store
-//!     loads; a directory resolves to its campaign file (--store forces
-//!     which one when both exist).
+//! topics-lab report  --campaign DIR|FILE
+//!     Re-render the evaluation report from a dumped campaign. Every
+//!     --campaign takes the bundle directory (meaning its campaign.col)
+//!     or the store file itself; anything that is not a valid
+//!     campaign.col store is refused with exit 4.
 //!
-//! topics-lab metrics --campaign DIR/campaign.json
+//! topics-lab metrics --campaign DIR|FILE
 //!     Re-derive the metrics snapshot from a dumped campaign and print
 //!     it in Prometheus text format.
 //!
-//! topics-lab compare --campaign DIR/campaign.json [--full-scale]
+//! topics-lab compare --campaign DIR|FILE [--full-scale]
 //!     Print the paper-vs-measured table from a dumped campaign.
 //!
-//! topics-lab dossier --campaign DIR/campaign.json --cp DOMAIN
+//! topics-lab dossier --campaign DIR|FILE --cp DOMAIN
 //!     Print everything the campaign knows about one calling party.
 //!
 //! topics-lab serve   --campaign DIR|FILE [--addr HOST:PORT] [--threads N]
-//!                    [--trace FILE] [--addr-file FILE]
-//!                    [--store json|columnar] [--quiet]
+//!                    [--trace FILE] [--addr-file FILE] [--quiet]
 //!     Hold the campaign resident and answer per-figure queries over
 //!     HTTP: `/api/report`, `/api/table1`, `/api/fig2`…`/api/fig7`,
 //!     `/api/anomalous` (each byte-identical to the offline artefact),
@@ -148,7 +142,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 use topics_core::crawler::campaign::AllowListSetup;
-use topics_core::export::{load_campaign, write_artefacts, write_bundle, StoreKind};
+use topics_core::export::{load_campaign, resolve_campaign, write_artefacts, write_bundle};
 use topics_core::obs::Obs;
 use topics_core::{
     comparison_rows, diagnose, evaluate, metrics_snapshot_of, render_comparison, Lab, LabConfig,
@@ -162,7 +156,7 @@ static ALLOC: topics_core::obs::CountingAlloc = topics_core::obs::CountingAlloc;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  topics-lab crawl   [--sites N] [--seed S] [--full] [--out DIR] [--allow-list corrupted|healthy|fail-closed] [--reject] [--vantage eu|us] [--quiet] [--metrics-out FILE] [--events-out FILE] [--fault-profile off|light|heavy|RATE] [--fault-seed S] [--probe-threads N] [--trace-out FILE] [--alloc-stats] [--store json|columnar]\n  topics-lab shard   --shard K/N [--sites N] [--seed S] [--full] [--out DIR] [--allow-list corrupted|healthy|fail-closed] [--reject] [--vantage eu|us] [--quiet] [--fault-profile off|light|heavy|RATE] [--fault-seed S] [--probe-threads N] [--store json|columnar]\n  topics-lab merge   --segments DIR [--out DIR] [--store json|columnar]\n  topics-lab simulate [--users N] [--epochs N] [--sites N] [--visits N] [--context N] [--window N] [--sample N] [--noise RATE] [--seed S] [--threads N] [--out DIR] [--metrics-out FILE] [--events-out FILE] [--trace-out FILE] [--alloc-stats] [--quiet]\n  topics-lab report  --campaign DIR|FILE [--store json|columnar]\n  topics-lab metrics --campaign FILE\n  topics-lab compare --campaign FILE [--full-scale]\n  topics-lab dossier --campaign FILE --cp DOMAIN\n  topics-lab doctor  --campaign DIR|FILE [--trace FILE] [--top N] | --trace FILE [--top N]\n  topics-lab memprofile --trace FILE | --campaign DIR [--top N]\n  topics-lab serve   --campaign DIR|FILE [--addr HOST:PORT] [--threads N] [--trace FILE] [--addr-file FILE] [--store json|columnar] [--quiet]\n  topics-lab fetch   --addr HOST:PORT [--path /api/report] [--out FILE] [--post]"
+        "usage:\n  topics-lab crawl   [--sites N] [--seed S] [--full] [--out DIR] [--allow-list corrupted|healthy|fail-closed] [--reject] [--vantage eu|us] [--quiet] [--metrics-out FILE] [--events-out FILE] [--fault-profile off|light|heavy|RATE] [--fault-seed S] [--probe-threads N] [--trace-out FILE] [--alloc-stats]\n  topics-lab shard   --shard K/N [--sites N] [--seed S] [--full] [--out DIR] [--allow-list corrupted|healthy|fail-closed] [--reject] [--vantage eu|us] [--quiet] [--fault-profile off|light|heavy|RATE] [--fault-seed S] [--probe-threads N]\n  topics-lab merge   --segments DIR [--out DIR]\n  topics-lab simulate [--users N] [--epochs N] [--sites N] [--visits N] [--context N] [--window N] [--sample N] [--noise RATE] [--seed S] [--threads N] [--out DIR] [--metrics-out FILE] [--events-out FILE] [--trace-out FILE] [--alloc-stats] [--quiet]\n  topics-lab report  --campaign DIR|FILE\n  topics-lab metrics --campaign DIR|FILE\n  topics-lab compare --campaign DIR|FILE [--full-scale]\n  topics-lab dossier --campaign DIR|FILE --cp DOMAIN\n  topics-lab doctor  --campaign DIR|FILE [--trace FILE] [--top N] | --trace FILE [--top N]\n  topics-lab memprofile --trace FILE | --campaign DIR [--top N]\n  topics-lab serve   --campaign DIR|FILE [--addr HOST:PORT] [--threads N] [--trace FILE] [--addr-file FILE] [--quiet]\n  topics-lab fetch   --addr HOST:PORT [--path /api/report] [--out FILE] [--post]"
     );
     ExitCode::from(2)
 }
@@ -281,16 +275,6 @@ fn load_campaign_cli(
     })
 }
 
-/// Strict `--store` parse: `json` (default) or `columnar`.
-fn parse_store(args: &Args) -> Result<StoreKind, String> {
-    match args.value_of("--store")? {
-        None => Ok(StoreKind::default()),
-        Some(s) => {
-            StoreKind::parse(s).ok_or_else(|| format!("unknown --store {s:?} (json|columnar)"))
-        }
-    }
-}
-
 /// Strict `--probe-threads` parse: a positive integer, nothing else.
 fn parse_probe_threads(s: &str) -> Result<usize, String> {
     match s.parse::<usize>() {
@@ -398,12 +382,10 @@ fn cmd_crawl(args: &Args) -> Result<(), String> {
             "--fault-seed",
             "--probe-threads",
             "--trace-out",
-            "--store",
         ],
         &["--full", "--reject", "--quiet", "--alloc-stats"],
     )?;
     let (config, sites, seed) = parse_lab_config(args)?;
-    let store = parse_store(args)?;
     let out = PathBuf::from(args.value_of("--out")?.unwrap_or("topics-lab-out"));
     let metrics_out = args
         .value_of("--metrics-out")?
@@ -458,7 +440,8 @@ fn cmd_crawl(args: &Args) -> Result<(), String> {
     };
     {
         let _span = obs.phase("export");
-        write_bundle(&out, &run.outcome, &eval, sites >= 50_000, store)
+        let full_scale = sites >= 50_000;
+        write_bundle(&out, &run.outcome, &eval, full_scale, Default::default())
             .map_err(|e| format!("writing bundle to {}: {e}", out.display()))?;
     }
 
@@ -512,14 +495,9 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
             "--fault-profile",
             "--fault-seed",
             "--probe-threads",
-            "--store",
         ],
         &["--full", "--reject", "--quiet"],
     )?;
-    // Segments are store-agnostic; the flag is validated here so a
-    // sharded pipeline can pass the same flag set to every stage, and
-    // `merge --store` picks the bundle backend.
-    let _ = parse_store(args)?;
     let (shard, shards) = parse_shard_spec(
         args.value_of("--shard")?
             .ok_or("shard needs --shard K/N (e.g. 2/4)")?,
@@ -561,8 +539,7 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_merge(args: &Args) -> Result<(), String> {
-    args.reject_unknown(&["--segments", "--out", "--store"], &[])?;
-    let store = parse_store(args)?;
+    args.reject_unknown(&["--segments", "--out"], &[])?;
     let segments = PathBuf::from(
         args.value_of("--segments")?
             .ok_or("merge needs --segments DIR")?,
@@ -573,33 +550,20 @@ fn cmd_merge(args: &Args) -> Result<(), String> {
         .unwrap_or_else(|| segments.clone());
 
     let count = topics_core::segment_paths(&segments)?.len();
-    let (outcome, trace) = match store {
-        StoreKind::Json => {
-            let merged = topics_core::merge_dir(&segments)?;
-            (merged.outcome, merged.trace)
-        }
-        StoreKind::Columnar => {
-            // Stream each segment straight into the columnar writer
-            // and persist the streamed bytes — byte-identical to a
-            // single-process `crawl --store columnar`.
-            let merged = topics_core::merge_dir_columnar(&segments)?;
-            std::fs::create_dir_all(&out)
-                .map_err(|e| format!("creating {}: {e}", out.display()))?;
-            let col_path = out.join(StoreKind::Columnar.campaign_file());
-            std::fs::write(&col_path, merged.store.bytes())
-                .map_err(|e| format!("writing store to {}: {e}", col_path.display()))?;
-            (merged.outcome, merged.trace)
-        }
-    };
-    let eval = evaluate(&outcome);
-    let full_scale = outcome.sites.len() >= 50_000;
-    match store {
-        StoreKind::Json => write_bundle(&out, &outcome, &eval, full_scale, store),
-        StoreKind::Columnar => write_artefacts(&out, &outcome, &eval, full_scale),
-    }
-    .map_err(|e| format!("writing bundle to {}: {e}", out.display()))?;
+    // Each segment streams straight into the columnar writer; the
+    // streamed bytes are persisted as they are — byte-identical to a
+    // single-process `crawl`'s campaign.col.
+    let merged = topics_core::merge_dir(&segments)?;
+    std::fs::create_dir_all(&out).map_err(|e| format!("creating {}: {e}", out.display()))?;
+    let col_path = out.join(topics_core::export::CAMPAIGN_COLUMNAR_FILE);
+    std::fs::write(&col_path, merged.store.bytes())
+        .map_err(|e| format!("writing store to {}: {e}", col_path.display()))?;
+    let eval = evaluate(&merged.outcome);
+    let full_scale = merged.outcome.sites.len() >= 50_000;
+    write_artefacts(&out, &merged.outcome, &eval, full_scale)
+        .map_err(|e| format!("writing bundle to {}: {e}", out.display()))?;
     let trace_path = out.join("trace.jsonl");
-    std::fs::write(&trace_path, trace.to_jsonl())
+    std::fs::write(&trace_path, merged.trace.to_jsonl())
         .map_err(|e| format!("writing trace to {}: {e}", trace_path.display()))?;
 
     println!("{}", eval.render_report());
@@ -612,18 +576,11 @@ fn cmd_merge(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_report(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&["--campaign", "--store"], &[])?;
-    let store = args
-        .value_of("--store")?
-        .map(|s| {
-            StoreKind::parse(s).ok_or_else(|| format!("unknown --store {s:?} (json|columnar)"))
-        })
-        .transpose()?;
+    args.reject_unknown(&["--campaign"], &[])?;
     let path = args
         .value_of("--campaign")?
         .ok_or("report needs --campaign DIR|FILE")?;
-    let campaign = resolve_campaign_with(path, store);
-    let outcome = load_campaign_cli(&campaign)?;
+    let outcome = load_campaign_cli(&resolve_campaign(path.as_ref()))?;
     let eval = evaluate(&outcome);
     println!("{}", eval.render_report());
     Ok(())
@@ -633,32 +590,32 @@ fn cmd_metrics(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&["--campaign"], &[])?;
     let path = args
         .value_of("--campaign")?
-        .ok_or("metrics needs --campaign FILE")?;
-    let outcome = load_campaign_cli(&PathBuf::from(path))?;
+        .ok_or("metrics needs --campaign DIR|FILE")?;
+    let outcome = load_campaign_cli(&resolve_campaign(path.as_ref()))?;
     print!("{}", metrics_snapshot_of(&outcome).render_prometheus());
     Ok(())
 }
 
-fn cmd_compare(args: &Args) -> Result<(), String> {
+fn cmd_compare(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&["--campaign"], &["--full-scale"])?;
     let path = args
         .value_of("--campaign")?
-        .ok_or("compare needs --campaign FILE")?;
-    let outcome = load_campaign(&PathBuf::from(path)).map_err(|e| e.to_string())?;
+        .ok_or("compare needs --campaign DIR|FILE")?;
+    let outcome = load_campaign_cli(&resolve_campaign(path.as_ref()))?;
     let eval = evaluate(&outcome);
     let full = args.has("--full-scale") || outcome.sites.len() >= 50_000;
     println!("{}", render_comparison(&comparison_rows(&eval, full)));
     Ok(())
 }
 
-fn cmd_dossier(args: &Args) -> Result<(), String> {
+fn cmd_dossier(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&["--campaign", "--cp"], &[])?;
     let path = args
         .value_of("--campaign")?
-        .ok_or("dossier needs --campaign FILE")?;
+        .ok_or("dossier needs --campaign DIR|FILE")?;
     let cp = args.value_of("--cp")?.ok_or("dossier needs --cp DOMAIN")?;
     let cp = topics_core::net::Domain::parse(cp).map_err(|e| format!("bad --cp: {e}"))?;
-    let outcome = load_campaign(&PathBuf::from(path)).map_err(|e| e.to_string())?;
+    let outcome = load_campaign_cli(&resolve_campaign(path.as_ref()))?;
     let ds = topics_core::analysis::dataset::Datasets::new(&outcome);
     println!(
         "{}",
@@ -673,25 +630,6 @@ fn parse_top(s: &str) -> Result<usize, String> {
         Ok(n) if n >= 1 => Ok(n),
         _ => Err(format!("bad --top {s:?} (want an integer ≥ 1)")),
     }
-}
-
-/// Resolve `--campaign`: a bundle directory means its campaign file —
-/// the `--store` choice when given, else whichever store is present
-/// (`campaign.json` preferred, `campaign.col` as the fallback).
-fn resolve_campaign_with(path: &str, store: Option<StoreKind>) -> PathBuf {
-    let p = PathBuf::from(path);
-    if !p.is_dir() {
-        return p;
-    }
-    if let Some(s) = store {
-        return p.join(s.campaign_file());
-    }
-    topics_core::export::resolve_campaign_file(&p).unwrap_or_else(|| p.join("campaign.json"))
-}
-
-/// [`resolve_campaign_with`] without a store preference.
-fn resolve_campaign(path: &str) -> PathBuf {
-    resolve_campaign_with(path, None)
 }
 
 /// Read and parse a span trace, classifying a missing file as exit 3.
@@ -730,7 +668,7 @@ fn cmd_doctor(args: &Args) -> Result<(), CliError> {
             Err(format!("doctor found {} violation(s)", report.violations().len()).into())
         };
     };
-    let campaign = resolve_campaign(campaign);
+    let campaign = resolve_campaign(campaign.as_ref());
     let trace_path = match args.value_of("--trace")? {
         Some(p) => PathBuf::from(p),
         None => campaign.with_file_name("trace.jsonl"),
@@ -765,7 +703,7 @@ fn cmd_memprofile(args: &Args) -> Result<(), String> {
     args.reject_unknown(&["--trace", "--campaign", "--top"], &[])?;
     let trace_path = match (args.value_of("--trace")?, args.value_of("--campaign")?) {
         (Some(t), _) => PathBuf::from(t),
-        (None, Some(c)) => resolve_campaign(c).with_file_name("trace.jsonl"),
+        (None, Some(c)) => resolve_campaign(c.as_ref()).with_file_name("trace.jsonl"),
         (None, None) => return Err("memprofile needs --trace FILE or --campaign DIR".into()),
     };
     let top = args
@@ -963,20 +901,13 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
             "--threads",
             "--trace",
             "--addr-file",
-            "--store",
         ],
         &["--quiet"],
     )?;
-    let store = args
-        .value_of("--store")?
-        .map(|s| {
-            StoreKind::parse(s).ok_or_else(|| format!("unknown --store {s:?} (json|columnar)"))
-        })
-        .transpose()?;
     let path = args
         .value_of("--campaign")?
         .ok_or("serve needs --campaign DIR|FILE")?;
-    let mut config = topics_core::ServeConfig::new(resolve_campaign_with(path, store));
+    let mut config = topics_core::ServeConfig::new(resolve_campaign(path.as_ref()));
     if let Some(addr) = args.value_of("--addr")? {
         config.addr = addr.to_owned();
     }
@@ -1052,8 +983,8 @@ fn main() -> ExitCode {
         "merge" => cmd_merge(&args).map_err(CliError::from),
         "report" => cmd_report(&args),
         "metrics" => cmd_metrics(&args),
-        "compare" => cmd_compare(&args).map_err(CliError::from),
-        "dossier" => cmd_dossier(&args).map_err(CliError::from),
+        "compare" => cmd_compare(&args),
+        "dossier" => cmd_dossier(&args),
         "simulate" => cmd_simulate(&args).map_err(CliError::from),
         "doctor" => cmd_doctor(&args),
         "memprofile" => cmd_memprofile(&args).map_err(CliError::from),
@@ -1198,7 +1129,6 @@ mod tests {
                     "--threads",
                     "--trace",
                     "--addr-file",
-                    "--store"
                 ],
                 &["--quiet"],
             )
@@ -1248,19 +1178,21 @@ mod tests {
 
     #[test]
     fn load_campaign_cli_classifies_missing_and_corrupt() {
-        let missing = load_campaign_cli(std::path::Path::new("/nonexistent/campaign.json"));
+        let missing = load_campaign_cli(std::path::Path::new("/nonexistent/campaign.col"));
         assert!(
             matches!(missing, Err(CliError::Missing(_))),
             "missing file classifies as Missing"
         );
         let dir = std::env::temp_dir().join(format!("topics-cli-corrupt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("campaign.json");
-        std::fs::write(&path, "not a campaign").unwrap();
+        let path = dir.join("campaign.col");
+        // A JSON dump is not a store: refused by magic, not misparsed.
+        std::fs::write(&path, "{\"schema_version\":1}").unwrap();
         let corrupt = load_campaign_cli(&path);
         match corrupt {
             Err(CliError::Corrupt(msg)) => {
-                assert!(msg.contains("campaign.json"), "{msg}");
+                assert!(msg.contains("campaign.col"), "{msg}");
+                assert!(msg.contains("bad magic"), "{msg}");
             }
             other => panic!("corrupt store must classify as Corrupt, got {other:?}"),
         }
@@ -1289,17 +1221,6 @@ mod tests {
             .reject_unknown(&["--campaign", "--trace", "--top"], &[])
             .unwrap_err()
             .contains("--trase"));
-        // A campaign file path passes through; only directories gain
-        // the campaign.json suffix (exercised with a real temp dir).
-        assert_eq!(
-            resolve_campaign("bundle/campaign.json"),
-            PathBuf::from("bundle/campaign.json")
-        );
-        let dir = std::env::temp_dir();
-        assert_eq!(
-            resolve_campaign(dir.to_str().unwrap()),
-            dir.join("campaign.json")
-        );
     }
 
     #[test]
@@ -1328,10 +1249,10 @@ mod tests {
             a.value_of("--top").unwrap().map(parse_top).transpose(),
             Ok(Some(7))
         );
-        // --campaign DIR resolves to trace.jsonl next to campaign.json.
+        // --campaign DIR resolves to trace.jsonl next to campaign.col.
         let dir = std::env::temp_dir();
         assert_eq!(
-            resolve_campaign(dir.to_str().unwrap()).with_file_name("trace.jsonl"),
+            resolve_campaign(&dir).with_file_name("trace.jsonl"),
             dir.join("trace.jsonl")
         );
         // Unknown flags stay hard errors.
@@ -1343,51 +1264,46 @@ mod tests {
     }
 
     #[test]
-    fn store_flag_parses_strictly() {
-        assert_eq!(parse_store(&args(&[])).unwrap(), StoreKind::Json);
-        assert_eq!(
-            parse_store(&args(&["--store", "json"])).unwrap(),
-            StoreKind::Json
-        );
-        assert_eq!(
-            parse_store(&args(&["--store", "columnar"])).unwrap(),
-            StoreKind::Columnar
-        );
-        // Unknown backends and missing values are hard errors — never a
-        // silent fallback to JSON.
-        let err = parse_store(&args(&["--store", "parquet"])).unwrap_err();
-        assert!(err.contains("--store"), "{err}");
-        let err = parse_store(&args(&["--store", "--quiet"])).unwrap_err();
-        assert!(err.contains("requires a value"), "{err}");
-        // A typo'd flag name is rejected by the crawl/merge flag sets.
-        let a = args(&["--stor", "columnar"]);
-        assert!(a
-            .reject_unknown(&["--store"], &[])
-            .unwrap_err()
-            .contains("--stor"));
+    fn store_flag_is_rejected_by_every_subcommand() {
+        // One store, no knob: `--store` is an unknown flag everywhere,
+        // refused before any work starts.
+        let a = args(&["--store", "columnar"]);
+        fn message<E: Into<CliError>>(r: Result<(), E>) -> String {
+            r.map_err(Into::into).unwrap_err().message().to_owned()
+        }
+        let errors = [
+            ("crawl", message(cmd_crawl(&a))),
+            ("shard", message(cmd_shard(&a))),
+            ("merge", message(cmd_merge(&a))),
+            ("report", message(cmd_report(&a))),
+            ("metrics", message(cmd_metrics(&a))),
+            ("compare", message(cmd_compare(&a))),
+            ("dossier", message(cmd_dossier(&a))),
+            ("simulate", message(cmd_simulate(&a))),
+            ("doctor", message(cmd_doctor(&a))),
+            ("memprofile", message(cmd_memprofile(&a))),
+            ("serve", message(cmd_serve(&a))),
+            ("fetch", message(cmd_fetch(&a))),
+        ];
+        for (cmd, err) in errors {
+            assert_eq!(err, "unknown flag \"--store\"", "{cmd}");
+        }
     }
 
     #[test]
-    fn campaign_resolution_prefers_an_existing_store() {
-        // A file path passes through untouched.
+    fn campaign_resolution_maps_a_bundle_to_its_store() {
+        // A file path passes through untouched, whatever its name; the
+        // same resolution serves every `--campaign` flag.
         assert_eq!(
-            resolve_campaign_with("bundle/campaign.col", None),
-            PathBuf::from("bundle/campaign.col")
+            resolve_campaign("bundle/campaign.json".as_ref()),
+            PathBuf::from("bundle/campaign.json")
         );
-        // A directory with only campaign.col resolves to it...
+        // A directory means its campaign.col — a stray campaign.json
+        // from an older bundle is never picked up.
         let dir = std::env::temp_dir().join(format!("topics-lab-resolve-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("campaign.col"), b"x").unwrap();
-        let dirs = dir.to_str().unwrap();
-        assert_eq!(resolve_campaign(dirs), dir.join("campaign.col"));
-        // ...until campaign.json appears (the compatibility default),
-        // and an explicit --store always wins.
         std::fs::write(dir.join("campaign.json"), b"{}").unwrap();
-        assert_eq!(resolve_campaign(dirs), dir.join("campaign.json"));
-        assert_eq!(
-            resolve_campaign_with(dirs, Some(StoreKind::Columnar)),
-            dir.join("campaign.col")
-        );
+        assert_eq!(resolve_campaign(&dir), dir.join("campaign.col"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,7 +1,7 @@
 //! Run-health doctor: reconcile a saved campaign with its trace.
 //!
 //! The doctor cross-checks three independent records of the same run —
-//! the measurement dataset (`campaign.json`), the authoritative metric
+//! the measurement dataset (`campaign.col`), the authoritative metric
 //! tally recomputed from it, and the span trace — and renders one
 //! report: outcome partition, trace/metric reconciliation, critical
 //! path, per-phase self/total time, worker utilization, retry
@@ -91,12 +91,12 @@ pub struct ColumnarCheck {
     pub violations: Vec<String>,
 }
 
-/// Verify a `campaign.col` next to the loaded campaign, if one exists:
-/// header and per-section FNV-1a checksums, intern referential
-/// integrity (every id in range, no orphan strings, visit/call range
-/// tiling — [`ColumnarCampaign::verify`]), and agreement with the
-/// campaign the doctor loaded (the two stores must describe the same
-/// dataset). Returns `None` when the directory has no columnar store.
+/// Verify the `campaign.col` in `dir`, if one exists: header and
+/// per-section FNV-1a checksums, intern referential integrity (every
+/// id in range, no orphan strings, visit/call range tiling —
+/// [`ColumnarCampaign::verify`]), and that the file holds the canonical
+/// store bytes of the campaign the doctor loaded. Returns `None` when
+/// the directory has no store.
 pub fn verify_columnar(dir: &Path, outcome: &CampaignOutcome) -> Option<ColumnarCheck> {
     let path = dir.join(crate::export::CAMPAIGN_COLUMNAR_FILE);
     let bytes = std::fs::read(&path).ok()?;
@@ -117,15 +117,10 @@ pub fn verify_columnar(dir: &Path, outcome: &CampaignOutcome) -> Option<Columnar
         check.violations.push(format!("campaign.col: {e}"));
         return Some(check);
     }
-    match store.to_outcome() {
-        Ok(col_outcome) => {
-            if serde_json::to_string(&col_outcome).ok() != serde_json::to_string(outcome).ok() {
-                check.violations.push(
-                    "campaign.col does not describe the same dataset as the loaded campaign".into(),
-                );
-            }
-        }
-        Err(e) => check.violations.push(format!("campaign.col: {e}")),
+    if store.bytes() != ColumnarCampaign::from_outcome(outcome).bytes() {
+        check
+            .violations
+            .push("campaign.col does not describe the same dataset as the loaded campaign".into());
     }
     Some(check)
 }
@@ -134,7 +129,7 @@ pub fn verify_columnar(dir: &Path, outcome: &CampaignOutcome) -> Option<Columnar
 /// in `dir`: each segment must decode (checksum, line count, version,
 /// required sections), the set must merge (exact shard coverage of the
 /// plan's rank space, matching tokens and headers), and the merged
-/// outcome must reproduce the loaded `campaign.json` byte for byte.
+/// outcome must encode to the loaded campaign's store byte for byte.
 /// Returns `(files checked, violations)`.
 pub fn verify_segments(dir: &Path, outcome: &CampaignOutcome) -> (usize, Vec<String>) {
     let paths = match crate::shard::segment_paths(dir) {
@@ -155,7 +150,7 @@ pub fn verify_segments(dir: &Path, outcome: &CampaignOutcome) -> (usize, Vec<Str
     if !violations.is_empty() {
         return (paths.len(), violations);
     }
-    match topics_crawler::shard::merge_segments(&segments) {
+    match topics_crawler::shard::merge_segments(segments) {
         Ok(merged) => {
             if merged.sites.len() != outcome.sites.len() {
                 violations.push(format!(
@@ -163,9 +158,11 @@ pub fn verify_segments(dir: &Path, outcome: &CampaignOutcome) -> (usize, Vec<Str
                     merged.sites.len(),
                     outcome.sites.len()
                 ));
-            } else if serde_json::to_string(&merged).ok() != serde_json::to_string(outcome).ok() {
+            } else if ColumnarCampaign::from_outcome(&merged).bytes()
+                != ColumnarCampaign::from_outcome(outcome).bytes()
+            {
                 violations
-                    .push("merged segments do not reproduce campaign.json byte-for-byte".into());
+                    .push("merged segments do not reproduce campaign.col byte-for-byte".into());
             }
         }
         Err(e) => violations.push(e.to_string()),
@@ -511,7 +508,7 @@ impl DoctorReport {
             out.push_str("== Shard segments ==\n");
             if self.segment_violations.is_empty() {
                 out.push_str(&format!(
-                    "[ok] {} segment file(s): checksums verified, shard coverage complete, merge reproduces campaign.json\n",
+                    "[ok] {} segment file(s): checksums verified, shard coverage complete, merge reproduces campaign.col\n",
                     self.segments_checked,
                 ));
             } else {

@@ -7,62 +7,25 @@ use std::io;
 use std::path::{Path, PathBuf};
 use topics_analysis::dataset::{DatasetId, Datasets};
 use topics_analysis::export as csv;
-use topics_crawler::columnar::{ColumnarCampaign, COLUMNAR_MAGIC};
+use topics_crawler::columnar::ColumnarCampaign;
 use topics_crawler::record::CampaignOutcome;
 
-/// The row-store file written by the JSON backend.
-pub const CAMPAIGN_JSON_FILE: &str = "campaign.json";
-/// The column-store file written by the columnar backend.
+/// The campaign store every bundle holds.
 pub const CAMPAIGN_COLUMNAR_FILE: &str = "campaign.col";
 
-/// Which on-disk representation a bundle's campaign dataset uses.
-///
-/// Both stores hold the identical dataset — [`load_campaign`] sniffs
-/// the file's magic bytes, so every consumer (report, doctor, compare)
-/// accepts either. `Json` stays the compatibility default; `Columnar`
-/// is the interned struct-of-arrays layout in
-/// [`topics_crawler::columnar`].
+/// The on-disk representation of a bundle's campaign dataset. There is
+/// one: `campaign.col`, the interned struct-of-arrays layout with
+/// checksummed sections in [`topics_crawler::columnar`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreKind {
-    /// `campaign.json` — serde row structs, human-greppable.
-    #[default]
-    Json,
     /// `campaign.col` — checksummed columnar sections, lazy readable.
+    #[default]
     Columnar,
 }
 
-impl StoreKind {
-    /// Parse a `--store` flag value.
-    pub fn parse(s: &str) -> Option<StoreKind> {
-        match s {
-            "json" => Some(StoreKind::Json),
-            "columnar" | "col" => Some(StoreKind::Columnar),
-            _ => None,
-        }
-    }
-
-    /// The campaign file name this store writes.
-    pub fn campaign_file(self) -> &'static str {
-        match self {
-            StoreKind::Json => CAMPAIGN_JSON_FILE,
-            StoreKind::Columnar => CAMPAIGN_COLUMNAR_FILE,
-        }
-    }
-}
-
-impl std::fmt::Display for StoreKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            StoreKind::Json => "json",
-            StoreKind::Columnar => "columnar",
-        })
-    }
-}
-
-/// File names written by [`write_bundle`] with the default JSON store;
-/// the columnar store swaps `campaign.json` for `campaign.col`.
+/// File names written by [`write_bundle`].
 pub const BUNDLE_FILES: [&str; 13] = [
-    "campaign.json",
+    CAMPAIGN_COLUMNAR_FILE,
     "report.txt",
     "comparison.txt",
     "calls.csv",
@@ -79,17 +42,12 @@ pub const BUNDLE_FILES: [&str; 13] = [
 
 /// Write the full artefact bundle for a campaign:
 ///
-/// * `campaign.json` or `campaign.col` (per `store`) — the raw dataset
-///   (every visit, call and probe), loadable back with
-///   [`load_campaign`];
+/// * `campaign.col` — the raw dataset (every visit, call and probe),
+///   loadable back with [`load_campaign`];
 /// * `report.txt` / `comparison.txt` — the rendered evaluation and the
 ///   paper-vs-measured table;
 /// * one CSV per reproduced table/figure plus the raw calls/sites CSVs
 ///   and the enrolment timeline.
-///
-/// Every rendered artefact is computed from the in-memory outcome, so
-/// the two stores produce byte-identical reports/CSVs — only the
-/// campaign file differs.
 pub fn write_bundle(
     dir: &Path,
     outcome: &CampaignOutcome,
@@ -97,24 +55,17 @@ pub fn write_bundle(
     full_scale: bool,
     store: StoreKind,
 ) -> io::Result<()> {
+    let StoreKind::Columnar = store;
     fs::create_dir_all(dir)?;
-    match store {
-        StoreKind::Json => {
-            let json = serde_json::to_string(outcome).expect("campaign serialises");
-            fs::write(dir.join(CAMPAIGN_JSON_FILE), json)?;
-        }
-        StoreKind::Columnar => {
-            let col = ColumnarCampaign::from_outcome(outcome);
-            fs::write(dir.join(CAMPAIGN_COLUMNAR_FILE), col.bytes())?;
-        }
-    }
+    let col = ColumnarCampaign::from_outcome(outcome);
+    fs::write(dir.join(CAMPAIGN_COLUMNAR_FILE), col.bytes())?;
     write_artefacts(dir, outcome, eval, full_scale)
 }
 
 /// Write every rendered artefact except the campaign file itself —
 /// what [`write_bundle`] adds on top of the store. Used directly by
-/// `merge --store columnar`, which already holds the streamed store
-/// bytes and must not re-encode them.
+/// `merge`, which already holds the streamed store bytes and must not
+/// re-encode them.
 pub fn write_artefacts(
     dir: &Path,
     outcome: &CampaignOutcome,
@@ -154,43 +105,25 @@ pub fn write_artefacts(
     Ok(())
 }
 
-/// Load a campaign dumped by [`write_bundle`], from either store.
-///
-/// The backend is sniffed from the file's magic bytes, not its name:
-/// a `TOPICCOL` header means the columnar decoder (section checksums
-/// and schema verified on the way in), anything else is parsed as
-/// JSON. Unknown future `schema_version`s are a typed refusal in both
-/// paths rather than a misparse.
+/// Load a campaign dumped by [`write_bundle`]. The store is read
+/// through [`ColumnarCampaign::read_from`], so a missing file is
+/// `io::ErrorKind::NotFound` and anything that is not a valid
+/// `TOPICCOL` store — bad magic, a failed checksum, an unknown future
+/// schema — is a typed `InvalidData` error, never a misparse.
 pub fn load_campaign(path: &Path) -> io::Result<CampaignOutcome> {
-    let bytes = fs::read(path)?;
-    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    if bytes.starts_with(&COLUMNAR_MAGIC) {
-        let col =
-            ColumnarCampaign::decode(bytes).map_err(|e| bad(format!("bad campaign.col: {e}")))?;
-        return col
-            .to_outcome()
-            .map_err(|e| bad(format!("bad campaign.col: {e}")));
-    }
-    let json = String::from_utf8(bytes).map_err(|e| bad(format!("bad campaign.json: {e}")))?;
-    let outcome: CampaignOutcome =
-        serde_json::from_str(&json).map_err(|e| bad(format!("bad campaign.json: {e}")))?;
-    outcome
-        .check_schema()
-        .map_err(|e| bad(format!("bad campaign.json: {e}")))?;
-    Ok(outcome)
+    ColumnarCampaign::read_from(path)?
+        .to_outcome()
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
-/// The campaign file inside a bundle directory, whichever store wrote
-/// it. Prefers `campaign.json` when both exist (the stores hold the
-/// same dataset, and JSON is the compatibility reader).
-pub fn resolve_campaign_file(dir: &Path) -> Option<PathBuf> {
-    for name in [CAMPAIGN_JSON_FILE, CAMPAIGN_COLUMNAR_FILE] {
-        let p = dir.join(name);
-        if p.is_file() {
-            return Some(p);
-        }
+/// The campaign path a `--campaign` value names: a bundle directory
+/// means its `campaign.col`, anything else is taken as the file.
+pub fn resolve_campaign(path: &Path) -> PathBuf {
+    if path.is_dir() {
+        path.join(CAMPAIGN_COLUMNAR_FILE)
+    } else {
+        path.to_path_buf()
     }
-    None
 }
 
 /// Quick sanity accessor used by tests: dataset sizes of a loaded
@@ -214,14 +147,15 @@ mod tests {
         let outcome = lab.run();
         let eval = evaluate(&outcome);
         let dir = std::env::temp_dir().join(format!("topics-lab-test-{}", std::process::id()));
-        write_bundle(&dir, &outcome, &eval, false, StoreKind::Json).unwrap();
+        write_bundle(&dir, &outcome, &eval, false, StoreKind::default()).unwrap();
         for f in BUNDLE_FILES {
             let p = dir.join(f);
             assert!(p.exists(), "missing {f}");
             assert!(fs::metadata(&p).unwrap().len() > 0, "{f} is empty");
         }
-        assert_eq!(resolve_campaign_file(&dir), Some(dir.join("campaign.json")));
-        let back = load_campaign(&dir.join("campaign.json")).unwrap();
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), BUNDLE_FILES.len());
+        assert_eq!(resolve_campaign(&dir), dir.join("campaign.col"));
+        let back = load_campaign(&dir.join("campaign.col")).unwrap();
         assert_eq!(dataset_sizes(&back), dataset_sizes(&outcome));
         assert_eq!(back.allow_list, outcome.allow_list);
         fs::remove_dir_all(&dir).unwrap();
@@ -234,9 +168,7 @@ mod tests {
         let eval = evaluate(&outcome);
         let dir = std::env::temp_dir().join(format!("topics-lab-coltest-{}", std::process::id()));
         write_bundle(&dir, &outcome, &eval, false, StoreKind::Columnar).unwrap();
-        assert!(!dir.join("campaign.json").exists());
         let col_path = dir.join("campaign.col");
-        assert_eq!(resolve_campaign_file(&dir), Some(col_path.clone()));
         let back = load_campaign(&col_path).unwrap();
         assert_eq!(
             serde_json::to_string(&back).unwrap(),
@@ -247,23 +179,20 @@ mod tests {
     }
 
     #[test]
-    fn store_kind_parses_flag_values() {
-        assert_eq!(StoreKind::parse("json"), Some(StoreKind::Json));
-        assert_eq!(StoreKind::parse("columnar"), Some(StoreKind::Columnar));
-        assert_eq!(StoreKind::parse("col"), Some(StoreKind::Columnar));
-        assert_eq!(StoreKind::parse("parquet"), None);
-        assert_eq!(StoreKind::Json.campaign_file(), "campaign.json");
-        assert_eq!(StoreKind::Columnar.campaign_file(), "campaign.col");
-        assert_eq!(StoreKind::default(), StoreKind::Json);
-    }
-
-    #[test]
     fn load_rejects_garbage() {
         let dir = std::env::temp_dir().join(format!("topics-lab-garbage-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("campaign.json");
-        fs::write(&p, "not json at all").unwrap();
-        assert!(load_campaign(&p).is_err());
+        // A JSON dump, an empty file and plain text are all "not a
+        // store": a typed InvalidData from the columnar decoder.
+        let p = dir.join("campaign.col");
+        for garbage in [&b"{\"schema_version\":1}"[..], b"", b"not a store at all"] {
+            fs::write(&p, garbage).unwrap();
+            let err = load_campaign(&p).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("columnar"), "{err}");
+        }
+        let missing = load_campaign(&dir.join("absent.col")).unwrap_err();
+        assert_eq!(missing.kind(), io::ErrorKind::NotFound);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

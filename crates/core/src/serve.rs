@@ -51,8 +51,7 @@ use std::time::{Duration, Instant};
 
 use topics_analysis::export as csv;
 use topics_analysis::{colscan, ColumnQueries};
-use topics_crawler::columnar::{ColumnarCampaign, COLUMNAR_MAGIC};
-use topics_crawler::record::CampaignOutcome;
+use topics_crawler::columnar::ColumnarCampaign;
 use topics_obs::{FieldValue, Obs, Trace};
 
 /// The eight artefact-backed API endpoints: URL path → the bundle file
@@ -107,8 +106,8 @@ impl std::error::Error for ServeError {}
 /// Configuration for [`Server::bind`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// The campaign file (either store; a directory must be resolved
-    /// by the caller, the CLI does).
+    /// The `campaign.col` file (a bundle directory must be resolved by
+    /// the caller, the CLI does).
     pub campaign: PathBuf,
     /// The span trace backing `/api/doctor` and `/api/profile`.
     /// `None` means "try `trace.jsonl` next to the campaign"; the two
@@ -145,7 +144,7 @@ pub struct QueryService {
 }
 
 impl QueryService {
-    /// Load a campaign file (either store) and build the service: the
+    /// Load a `campaign.col` and build the service: the
     /// rows are materialised once here to render the row-dependent
     /// artefacts (report, table 1, figures 6/7, anomalous), then
     /// dropped — queries never touch row structs again. The
@@ -154,22 +153,13 @@ impl QueryService {
     /// live per-request query would.
     pub fn build(campaign: &Path, trace: Option<&Path>) -> Result<QueryService, ServeError> {
         let started = Instant::now();
-        let bytes = std::fs::read(campaign).map_err(|e| match e.kind() {
+        let corrupt = |e: String| -> ServeError { ServeError::Corrupt(campaign.to_path_buf(), e) };
+        let store = ColumnarCampaign::read_from(campaign).map_err(|e| match e.kind() {
             std::io::ErrorKind::NotFound => ServeError::Missing(campaign.to_path_buf()),
+            std::io::ErrorKind::InvalidData => corrupt(e.to_string()),
             _ => ServeError::Io(campaign.to_path_buf(), e.to_string()),
         })?;
-        let corrupt = |e: String| -> ServeError { ServeError::Corrupt(campaign.to_path_buf(), e) };
-        let (store, outcome) = if bytes.starts_with(&COLUMNAR_MAGIC) {
-            let store = ColumnarCampaign::decode(bytes).map_err(|e| corrupt(e.to_string()))?;
-            let outcome = store.to_outcome().map_err(|e| corrupt(e.to_string()))?;
-            (store, outcome)
-        } else {
-            let json = String::from_utf8(bytes).map_err(|e| corrupt(e.to_string()))?;
-            let outcome: CampaignOutcome =
-                serde_json::from_str(&json).map_err(|e| corrupt(e.to_string()))?;
-            outcome.check_schema().map_err(|e| corrupt(e.to_string()))?;
-            (ColumnarCampaign::from_outcome(&outcome), outcome)
-        };
+        let outcome = store.to_outcome().map_err(|e| corrupt(e.to_string()))?;
         let queries =
             ColumnQueries::new(colscan::scan(&store).map_err(|e| corrupt(e.to_string()))?);
 
@@ -715,10 +705,11 @@ mod tests {
     fn corrupt_campaign_is_typed() {
         let dir = std::env::temp_dir().join(format!("topics-serve-corrupt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("campaign.json");
-        std::fs::write(&path, "definitely not json").unwrap();
+        let path = dir.join("campaign.col");
+        std::fs::write(&path, "definitely not a store").unwrap();
         let err = build_err(&path);
         assert!(matches!(err, ServeError::Corrupt(..)), "{err}");
+        assert!(err.to_string().contains("bad magic"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -5,9 +5,9 @@
 //! processes: each shard crawls only its stripe, probes only the
 //! parties its stripe encountered (plus the allow-list), and writes a
 //! checksummed record segment (`shard-K-of-N.seg`). [`merge_dir`]
-//! reassembles the segments into one [`CampaignOutcome`], metrics
-//! snapshot, and stripped trace that are **byte-identical** to a
-//! single-process run of the same seed — the contract proven by
+//! streams the segments into one `campaign.col` store and stripped
+//! trace that are **byte-identical** to a single-process run of the
+//! same seed — the contract proven by
 //! `tests/integration_shard.rs` and enforced in CI.
 //!
 //! Why byte-identity holds: every per-visit input (global rank,
@@ -27,11 +27,10 @@ use topics_crawler::campaign::{run_campaign_stripe, CrawlTarget};
 use topics_crawler::columnar::{ColumnarBuilder, ColumnarCampaign};
 use topics_crawler::record::{CampaignOutcome, CAMPAIGN_SCHEMA_VERSION};
 use topics_crawler::shard::{
-    merge_segments, shard_token, tally_snapshot, Segment, SegmentHeader, ShardPlan, StreamingMerge,
-    SEGMENT_VERSION,
+    shard_token, tally_snapshot, Segment, SegmentHeader, ShardPlan, StreamingMerge, SEGMENT_VERSION,
 };
 use topics_net::seed;
-use topics_obs::{merge_stripped, MergeRule, MetricsSnapshot, Obs, Trace};
+use topics_obs::{merge_stripped, MergeRule, Obs, Trace};
 
 /// How the two campaign phases combine across shard traces: visits are
 /// striped disjointly (concatenate in shard order = rank order), probe
@@ -160,22 +159,24 @@ pub fn segment_paths(dir: &Path) -> Result<Vec<PathBuf>, String> {
     Ok(paths)
 }
 
-/// A merged campaign: the reassembled outcome, its authoritative
-/// metrics snapshot (re-tallied from the merged records — per-shard
-/// tallies are *not* additive for deduplicated probe series), and the
+/// A merged campaign: the encoded store, the outcome it holds, and the
 /// merged stripped trace.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Merged {
-    /// The reassembled campaign, byte-identical to a single-process run.
+    /// The merged campaign as an encoded columnar store — byte-identical
+    /// to the `campaign.col` a single-process crawl writes.
+    pub store: ColumnarCampaign,
+    /// The reassembled outcome (reconstructed from the store's arena,
+    /// so equal domains share storage).
     pub outcome: CampaignOutcome,
-    /// Tally snapshot of the merged outcome.
-    pub metrics: MetricsSnapshot,
     /// Merged stripped trace, byte-identical to the single run's
     /// [`Trace::stripped`] view.
     pub trace: Trace,
 }
 
-/// Read every `*.seg` under `dir`, verify and merge them. Any decode
+/// Read every `*.seg` under `dir`, verify and merge them through
+/// [`merge_stream`] — one decoded segment in memory at a time — and
+/// rebuild the outcome and the merged stripped trace. Any decode
 /// failure (truncation, checksum mismatch, malformed line) or merge
 /// violation (missing/duplicate shard, stripe or token mismatch,
 /// diverging duplicates) is a named error.
@@ -184,84 +185,41 @@ pub fn merge_dir(dir: &Path) -> Result<Merged, String> {
     if paths.is_empty() {
         return Err(format!("no segment files (*.seg) in {}", dir.display()));
     }
-    let segments: Vec<Segment> = paths
-        .iter()
-        .map(|p| read_segment(p))
-        .collect::<Result<_, _>>()?;
-    let outcome = merge_segments(&segments).map_err(|e| e.to_string())?;
-    let traces: Vec<Trace> = segments
-        .iter()
-        .map(|s| Trace {
-            spans: s.trace.clone(),
-        })
-        .collect();
+    let (store, traces) = merge_stream(paths.iter().map(|p| read_segment(p)))?;
+    let outcome = store.to_outcome().map_err(|e| e.to_string())?;
     let trace =
         merge_stripped(&traces, &MERGE_RULES).map_err(|e| format!("merging traces: {e}"))?;
-    let metrics = tally_snapshot(&outcome);
     Ok(Merged {
+        store,
         outcome,
-        metrics,
         trace,
     })
 }
 
-/// A merge streamed straight into the columnar writer: the encoded
-/// store plus everything [`Merged`] carries.
-#[derive(Debug)]
-pub struct MergedColumnar {
-    /// The merged campaign as an encoded columnar store — byte-identical
-    /// to the store a single-process `--store columnar` crawl writes.
-    pub store: ColumnarCampaign,
-    /// The reassembled outcome (reconstructed from the store's arena,
-    /// so equal domains share storage).
-    pub outcome: CampaignOutcome,
-    /// Tally snapshot of the merged outcome.
-    pub metrics: MetricsSnapshot,
-    /// Merged stripped trace.
-    pub trace: Trace,
-}
-
-/// Merge every `*.seg` under `dir` by streaming each segment's sites
-/// directly into a [`ColumnarBuilder`] — one decoded segment in memory
-/// at a time, never the full `Vec<Segment>` that [`merge_dir`] holds.
-///
-/// Shard order is validated per segment by
-/// [`topics_crawler::shard::StreamingMerge`] (the canonical zero-padded
-/// file names make sorted directory order shard order). Because the
-/// builder interns strings in first-use order of the same rank-order
-/// site walk a single-process crawl performs, the resulting store is
-/// byte-identical to the one `--store columnar` writes without
-/// sharding.
-pub fn merge_dir_columnar(dir: &Path) -> Result<MergedColumnar, String> {
-    let paths = segment_paths(dir)?;
-    if paths.is_empty() {
-        return Err(format!("no segment files (*.seg) in {}", dir.display()));
-    }
-    let mut merge = StreamingMerge::default();
+/// The segment merge `topics-lab merge` runs: segments, in shard order,
+/// go through [`StreamingMerge`] and each accepted stripe straight into
+/// a [`ColumnarBuilder`]. Returns the encoded store and each segment's
+/// stripped trace. Because the builder interns strings in first-use
+/// order of the same rank-order site walk a single-process crawl
+/// performs, the store is byte-identical to the one `crawl` writes.
+pub fn merge_stream(
+    segments: impl IntoIterator<Item = Result<Segment, String>>,
+) -> Result<(ColumnarCampaign, Vec<Trace>), String> {
+    let mut merge = StreamingMerge::new();
     let mut builder = ColumnarBuilder::new();
-    let mut traces: Vec<Trace> = Vec::with_capacity(paths.len());
-    for path in &paths {
-        let mut segment = read_segment(path)?;
+    let mut traces = Vec::new();
+    for segment in segments {
+        let mut segment = segment?;
         traces.push(Trace {
             spans: std::mem::take(&mut segment.trace),
         });
-        let sites = merge.accept(segment).map_err(|e| e.to_string())?;
-        for site in &sites {
+        for site in &merge.accept(segment).map_err(|e| e.to_string())? {
             builder.push_site(site);
         }
     }
     let (allow_list, probes, started) = merge.finish().map_err(|e| e.to_string())?;
     let store = builder.finish(CAMPAIGN_SCHEMA_VERSION, &allow_list, &probes, started);
-    let outcome = store.to_outcome().map_err(|e| e.to_string())?;
-    let trace =
-        merge_stripped(&traces, &MERGE_RULES).map_err(|e| format!("merging traces: {e}"))?;
-    let metrics = tally_snapshot(&outcome);
-    Ok(MergedColumnar {
-        store,
-        outcome,
-        metrics,
-        trace,
-    })
+    Ok((store, traces))
 }
 
 #[cfg(test)]
@@ -289,7 +247,6 @@ mod tests {
         let merged = merge_dir(&dir).unwrap();
         assert_eq!(serde_json::to_string(&merged.outcome).unwrap(), single_json);
         assert_eq!(merged.trace, single_trace);
-        assert_eq!(merged.metrics, crate::metrics_snapshot_of(&merged.outcome));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -305,19 +262,12 @@ mod tests {
             let segment = run_shard(&config, shard, 3, &shard_obs());
             write_segment(&dir, &segment).unwrap();
         }
-        let merged = merge_dir_columnar(&dir).unwrap();
+        let merged = merge_dir(&dir).unwrap();
         assert_eq!(
             merged.store.bytes(),
             single_store.bytes(),
             "streamed merge store must be byte-identical to the single-run store"
         );
-        assert_eq!(
-            serde_json::to_string(&merged.outcome).unwrap(),
-            serde_json::to_string(&single).unwrap()
-        );
-        let batch = merge_dir(&dir).unwrap();
-        assert_eq!(merged.metrics, batch.metrics);
-        assert_eq!(merged.trace, batch.trace);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,13 +1,13 @@
 //! Columnar campaign store: interned struct-of-arrays record layout.
 //!
-//! The analyses are column scans over visit/call fields, yet
-//! `campaign.json` stores row-structs — every `report` run
-//! re-deserializes the full world and re-allocates every domain string
-//! once per occurrence. This module stores a [`CampaignOutcome`] as
-//! parallel arrays with one campaign-wide string-interning table for
-//! [`Domain`]s: `party_domains` becomes a range into a shared id
-//! vector, every call's caller/caller-site/script-source a `u32`, and
-//! booleans bitsets. Rebuilding the outcome clones `Arc`s out of the
+//! The analyses are column scans over visit/call fields, and a row
+//! store re-deserializes the full world and re-allocates every domain
+//! string once per occurrence on every read. This module stores a
+//! [`CampaignOutcome`] — as `campaign.col`, the one persisted form of a
+//! campaign — as parallel arrays with one campaign-wide
+//! string-interning table for [`Domain`]s: `party_domains` becomes a
+//! range into a shared id vector, every call's
+//! caller/caller-site/script-source a `u32`, and booleans bitsets. Rebuilding the outcome clones `Arc`s out of the
 //! arena, so equal domains share storage instead of repeating their
 //! bytes.
 //!
@@ -819,8 +819,8 @@ impl fmt::Debug for ColumnarCampaign {
 }
 
 impl ColumnarCampaign {
-    /// Build the columnar form of an outcome (the `crawl --store
-    /// columnar` path). Deterministic: same outcome, same bytes.
+    /// Build the columnar form of an outcome (what `crawl` writes).
+    /// Deterministic: same outcome, same bytes.
     pub fn from_outcome(outcome: &CampaignOutcome) -> ColumnarCampaign {
         let mut b = ColumnarBuilder::new();
         for site in &outcome.sites {
@@ -837,6 +837,11 @@ impl ColumnarCampaign {
     /// Parse and validate the header + directory of an encoded file.
     /// Section payloads stay raw until first use.
     pub fn decode(bytes: Vec<u8>) -> Result<ColumnarCampaign, ColumnarError> {
+        // Anything that is neither a store nor a clipped start of one is
+        // refused by magic, however short it is.
+        if !bytes.starts_with(&COLUMNAR_MAGIC) && !COLUMNAR_MAGIC.starts_with(&bytes) {
+            return Err(ColumnarError::BadMagic);
+        }
         let fixed = 8 + 4 + 4 + 8 + 8 * 4 + 4;
         if bytes.len() < fixed {
             return Err(ColumnarError::Truncated {
@@ -844,9 +849,6 @@ impl ColumnarCampaign {
                 need: fixed,
                 have: bytes.len(),
             });
-        }
-        if bytes[..8] != COLUMNAR_MAGIC {
-            return Err(ColumnarError::BadMagic);
         }
         let mut cur = Cur::new(&bytes[8..], "header");
         let version = cur.u32()?;
@@ -865,7 +867,15 @@ impl ColumnarCampaign {
         for c in counts.iter_mut() {
             *c = cur.u32()?;
         }
+        // The count is read before the header checksum can vouch for
+        // it, so bound it before it sizes an allocation.
         let section_count = cur.u32()? as usize;
+        if section_count > SECTION_TAGS.len() {
+            return Err(ColumnarError::Malformed(format!(
+                "directory lists {section_count} sections (a store has {})",
+                SECTION_TAGS.len()
+            )));
+        }
         let mut dir = Vec::with_capacity(section_count);
         {
             let dir_cur = &mut cur;
@@ -913,7 +923,9 @@ impl ColumnarCampaign {
                     offset
                 )));
             }
-            offset += e.len;
+            offset = offset.checked_add(e.len).ok_or_else(|| {
+                ColumnarError::Malformed(format!("section {} length overflows", tag_name(e.tag)))
+            })?;
         }
         for tag in SECTION_TAGS {
             if !dir.iter().any(|e| e.tag == tag) {
@@ -952,18 +964,14 @@ impl ColumnarCampaign {
     /// Load an encoded store from disk — [`ColumnarCampaign::decode`]
     /// over the file's bytes, with I/O errors kept distinct from
     /// corruption: a missing file surfaces as `io::ErrorKind::NotFound`,
-    /// a failed decode as `InvalidData` carrying the typed
-    /// [`ColumnarError`] message. This is the long-running-service load
-    /// path (`topics-lab serve`), which reads the store once and then
-    /// answers every query from the decoded arena.
+    /// a failed decode — including any file that is not a `TOPICCOL`
+    /// store at all — as `InvalidData` wrapping the typed
+    /// [`ColumnarError`]. Every campaign reader (`report`, `doctor`,
+    /// `serve`, …) loads through here.
     pub fn read_from(path: &std::path::Path) -> std::io::Result<ColumnarCampaign> {
         let bytes = std::fs::read(path)?;
-        ColumnarCampaign::decode(bytes).map_err(|e| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("bad {}: {e}", path.display()),
-            )
-        })
+        ColumnarCampaign::decode(bytes)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 
     /// The canonical encoded bytes (what `campaign.col` holds).
@@ -2157,6 +2165,53 @@ mod tests {
             ColumnarCampaign::decode(trailing).unwrap_err(),
             ColumnarError::TrailingData("file")
         );
+
+        // A section length that overflows the offset arithmetic, behind
+        // a header checksum recomputed to match: the directory starts at
+        // byte 60, and its first entry's length at 69.
+        let mut huge = good.clone();
+        huge[69..77].copy_from_slice(&u64::MAX.to_le_bytes());
+        let dir_end = 60 + SECTION_TAGS.len() * 25;
+        let mut fnv = Fnv::new();
+        fnv.update(&huge[..dir_end]);
+        huge[dir_end..dir_end + 8].copy_from_slice(&fnv.digest().to_le_bytes());
+        assert!(matches!(
+            ColumnarCampaign::decode(huge).unwrap_err(),
+            ColumnarError::Malformed(_)
+        ));
+    }
+
+    /// The decoder sweep: every single-byte flip (masks 0x01 and 0x80),
+    /// every truncation and a one-byte extension of a small store must
+    /// surface as a typed error from decode, verify or to_outcome —
+    /// never a panic, an abort, or a silently different campaign.
+    #[test]
+    fn every_flip_truncation_and_extension_is_a_typed_error() {
+        let good = ColumnarCampaign::from_outcome(&outcome()).bytes().to_vec();
+        let load = |bytes: Vec<u8>| -> Result<CampaignOutcome, ColumnarError> {
+            let store = ColumnarCampaign::decode(bytes)?;
+            store.verify()?;
+            store.to_outcome()
+        };
+        let mut cases = 0;
+        let mut expect_err = |what: String, bytes: Vec<u8>| {
+            assert!(load(bytes).is_err(), "{what} loaded without an error");
+            cases += 1;
+        };
+        for i in 0..good.len() {
+            for mask in [0x01u8, 0x80] {
+                let mut bad = good.clone();
+                bad[i] ^= mask;
+                expect_err(format!("flip {mask:#04x} at byte {i}"), bad);
+            }
+        }
+        for len in 0..good.len() {
+            expect_err(format!("truncation to {len} bytes"), good[..len].to_vec());
+        }
+        let mut longer = good.clone();
+        longer.push(0);
+        expect_err("one-byte extension".to_owned(), longer);
+        assert_eq!(cases, 3 * good.len() + 1);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! segments into the single-process [`CampaignOutcome`].
 //!
 //! The contract is byte-identity: running `N` shards of the same seeded
-//! world and merging their segments must produce a `campaign.json`
-//! identical to one unsharded run. Three properties make that hold:
+//! world and merging their segments must produce a `campaign.col`
+//! identical to one unsharded run's. Three properties make that hold:
 //!
 //! 1. **Global ranks.** A shard visits only its stripe, but every
 //!    rank-derived quantity (visit start time, per-profile seeds, the
@@ -437,6 +437,20 @@ impl Segment {
                 header.version
             )));
         }
+        // The merge builds a shard plan from these fields; a header
+        // no plan can produce is refused here, before it can.
+        if header.shards == 0 || header.shard >= header.shards {
+            return Err(SegmentError::HeaderInvalid(format!(
+                "shard {} of {} is on no plan",
+                header.shard, header.shards
+            )));
+        }
+        if header.stripe_start > header.stripe_end || header.stripe_end > header.num_sites {
+            return Err(SegmentError::HeaderInvalid(format!(
+                "stripe {}..{} lies outside the rank space 0..{}",
+                header.stripe_start, header.stripe_end, header.num_sites
+            )));
+        }
         let allow_list = allow_list.ok_or(SegmentError::MissingSection("allow-list"))?;
         let metrics = metrics.ok_or(SegmentError::MissingSection("metrics snapshot"))?;
         Ok(Segment {
@@ -518,128 +532,38 @@ pub fn tally_snapshot(outcome: &CampaignOutcome) -> MetricsSnapshot {
     registry.snapshot()
 }
 
-/// Reassemble segments into the unsharded [`CampaignOutcome`].
-///
-/// Verifies header agreement, exact shard coverage (each index of the
-/// plan exactly once, stripes on plan, ranks gapless), allow-list
-/// equality, probe consistency across shards, and that every segment's
-/// stored metrics snapshot reproduces from its own records. Segments
-/// may be given in any order.
-pub fn merge_segments(segments: &[Segment]) -> Result<CampaignOutcome, MergeError> {
-    let first = segments.first().ok_or(MergeError::Empty)?;
-    let h0 = &first.header;
-    for s in segments {
-        let h = &s.header;
-        let same = h.seed == h0.seed
-            && h.shards == h0.shards
-            && h.num_sites == h0.num_sites
-            && h.started == h0.started
-            && h.fault == h0.fault
-            && h.fault_seed == h0.fault_seed;
-        if !same {
-            return Err(MergeError::HeaderMismatch(format!(
-                "shard {} disagrees with shard {} on campaign parameters",
-                h.shard, h0.shard
-            )));
-        }
+/// Reassemble segments, given in any order, into the unsharded
+/// [`CampaignOutcome`]: order them by shard index and fold them through
+/// [`StreamingMerge`], which runs every check.
+pub fn merge_segments(mut segments: Vec<Segment>) -> Result<CampaignOutcome, MergeError> {
+    segments.sort_by_key(|s| s.header.shard);
+    let mut merge = StreamingMerge::new();
+    let mut sites = Vec::new();
+    for segment in segments {
+        sites.extend(merge.accept(segment)?);
     }
-    let plan = ShardPlan::new(h0.shards, h0.num_sites);
-    let mut by_shard: Vec<Option<&Segment>> = vec![None; plan.shards()];
-    for s in segments {
-        let k = s.header.shard;
-        if k >= plan.shards() {
-            return Err(MergeError::HeaderMismatch(format!(
-                "shard index {k} out of range for {} shards",
-                plan.shards()
-            )));
-        }
-        if by_shard[k].replace(s).is_some() {
-            return Err(MergeError::DuplicateShard(k));
-        }
-    }
-    let mut ordered: Vec<&Segment> = Vec::with_capacity(plan.shards());
-    for (k, slot) in by_shard.iter().enumerate() {
-        ordered.push(slot.ok_or(MergeError::MissingShard(k))?);
-    }
-
-    let mut sites: Vec<SiteOutcome> = Vec::with_capacity(plan.num_sites());
-    let mut probe_map: BTreeMap<Domain, AttestationProbe> = BTreeMap::new();
-    for (k, s) in ordered.iter().enumerate() {
-        let stripe = plan.stripe(k);
-        if s.header.stripe_start != stripe.start || s.header.stripe_end != stripe.end {
-            return Err(MergeError::StripeMismatch(k));
-        }
-        if s.header.token != shard_token(h0.seed, k) {
-            return Err(MergeError::TokenMismatch(k));
-        }
-        if s.allow_list != first.allow_list {
-            return Err(MergeError::AllowListMismatch);
-        }
-        if s.sites.len() != stripe.len() {
-            return Err(MergeError::CoverageGap(format!(
-                "shard {k} holds {} sites for a stripe of {}",
-                s.sites.len(),
-                stripe.len()
-            )));
-        }
-        for (site, rank) in s.sites.iter().zip(stripe.clone()) {
-            if site.rank != rank {
-                return Err(MergeError::CoverageGap(format!(
-                    "shard {k} records rank {} where the plan expects {rank}",
-                    site.rank
-                )));
-            }
-        }
-        // The stored snapshot must reproduce from the records alongside
-        // it; anything else means the segment was assembled from
-        // mismatched runs.
-        let shard_outcome = CampaignOutcome {
-            schema_version: CAMPAIGN_SCHEMA_VERSION,
-            sites: s.sites.clone(),
-            allow_list: s.allow_list.clone(),
-            attestation_probes: s.probes.clone(),
-            started: s.header.started,
-        };
-        if tally_snapshot(&shard_outcome) != s.metrics {
-            return Err(MergeError::TallyMismatch(k));
-        }
-        sites.extend(s.sites.iter().cloned());
-        for p in &s.probes {
-            match probe_map.get(&p.domain) {
-                Some(existing) if existing != p => {
-                    return Err(MergeError::ProbeConflict(p.domain.clone()))
-                }
-                Some(_) => {}
-                None => {
-                    probe_map.insert(p.domain.clone(), p.clone());
-                }
-            }
-        }
-    }
-
-    // BTreeMap iteration is domain-sorted — exactly the order the
-    // unsharded run's BTreeSet probe collection produces.
+    let (allow_list, attestation_probes, started) = merge.finish()?;
     Ok(CampaignOutcome {
         schema_version: CAMPAIGN_SCHEMA_VERSION,
         sites,
-        allow_list: first.allow_list.clone(),
-        attestation_probes: probe_map.into_values().collect(),
-        started: h0.started,
+        allow_list,
+        attestation_probes,
+        started,
     })
 }
 
-/// Segment-at-a-time variant of [`merge_segments`] for consumers that
-/// can stream sites as they arrive — the columnar writer pushes each
-/// accepted stripe straight into its column vectors, so the merge never
-/// holds more than one decoded segment plus the growing columns (the
-/// row-struct path holds every segment *and* the full outcome at once).
+/// The segment merge, one segment at a time: the columnar writer pushes
+/// each accepted stripe straight into its column vectors, so a merge
+/// never holds more than one decoded segment plus the growing columns.
 ///
 /// Segments must arrive in shard order — exactly what iterating the
 /// canonical `shard-K-of-N.seg` file names in sorted order yields.
-/// Every per-segment check of [`merge_segments`] runs in
-/// [`StreamingMerge::accept`]; [`StreamingMerge::finish`] performs the
-/// whole-campaign ones and releases the merged probe set in the sorted
-/// order the unsharded run produces.
+/// [`StreamingMerge::accept`] checks header agreement, the stripe and
+/// token against the plan, gapless rank coverage, the allow-list,
+/// probe consistency across shards, and that the segment's stored
+/// metrics reproduce from its own records; [`StreamingMerge::finish`]
+/// checks every shard arrived and releases the merged probe set in the
+/// sorted order the unsharded run produces.
 #[derive(Debug, Default)]
 pub struct StreamingMerge {
     first: Option<(SegmentHeader, Vec<Domain>)>,
@@ -762,7 +686,7 @@ impl StreamingMerge {
 /// have produced (traces empty): each shard keeps its stripe's sites
 /// and the probes for the allow-list plus the parties that stripe
 /// encountered. `merge_segments(split_outcome(o, ..)) == o` — the
-/// roundtrip the `shard_merge` bench exercises.
+/// roundtrip the `shard_merge` bench and the perf smoke exercise.
 pub fn split_outcome(
     outcome: &CampaignOutcome,
     plan: ShardPlan,
@@ -826,6 +750,7 @@ pub fn split_outcome(
 mod tests {
     use super::*;
     use crate::campaign::{run_campaign, CampaignConfig};
+    use crate::columnar::{ColumnarBuilder, ColumnarCampaign};
     use topics_webgen::{World, WorldConfig};
 
     fn campaign(seed: u64, n: usize) -> (World, CampaignOutcome) {
@@ -852,24 +777,26 @@ mod tests {
     fn streaming_merge_matches_batch_merge() {
         let (world, outcome) = campaign(57, 40);
         let segments = split(&outcome, world.seed(), 4);
-        let batch = merge_segments(&segments).unwrap();
+        let batch = merge_segments(segments.clone()).unwrap();
 
+        // Stripes pushed into the columnar writer as they are accepted
+        // (what `merge` does) give the store of the merged outcome.
         let mut sm = StreamingMerge::new();
-        let mut sites: Vec<SiteOutcome> = Vec::new();
+        let mut builder = ColumnarBuilder::new();
         for seg in segments {
-            sites.extend(sm.accept(seg).unwrap());
+            for site in &sm.accept(seg).unwrap() {
+                builder.push_site(site);
+            }
         }
         let (allow_list, probes, started) = sm.finish().unwrap();
-        let streamed = CampaignOutcome {
-            schema_version: CAMPAIGN_SCHEMA_VERSION,
-            sites,
-            allow_list,
-            attestation_probes: probes,
-            started,
-        };
+        let streamed = builder.finish(CAMPAIGN_SCHEMA_VERSION, &allow_list, &probes, started);
         assert_eq!(
-            serde_json::to_string(&streamed).unwrap(),
-            serde_json::to_string(&batch).unwrap()
+            streamed.bytes(),
+            ColumnarCampaign::from_outcome(&batch).bytes()
+        );
+        assert_eq!(
+            streamed.bytes(),
+            ColumnarCampaign::from_outcome(&outcome).bytes()
         );
     }
 
@@ -975,7 +902,7 @@ mod tests {
     fn merge_of_split_is_the_identity() {
         let (world, outcome) = campaign(93, 80);
         for shards in [1usize, 2, 3, 7] {
-            let merged = merge_segments(&split(&outcome, world.seed(), shards)).expect("merges");
+            let merged = merge_segments(split(&outcome, world.seed(), shards)).expect("merges");
             assert_eq!(
                 serde_json::to_string(&merged).unwrap(),
                 serde_json::to_string(&outcome).unwrap(),
@@ -985,7 +912,7 @@ mod tests {
         // Segment order must not matter.
         let mut segs = split(&outcome, world.seed(), 3);
         segs.reverse();
-        let merged = merge_segments(&segs).expect("merges reversed");
+        let merged = merge_segments(segs).expect("merges reversed");
         assert_eq!(
             serde_json::to_string(&merged).unwrap(),
             serde_json::to_string(&outcome).unwrap()
@@ -1034,6 +961,35 @@ mod tests {
         );
     }
 
+    /// Re-encode a valid segment with an edited header: the checksum
+    /// is recomputed, so only header validation can refuse it.
+    fn decode_with_header(edit: impl FnOnce(&mut SegmentHeader)) -> SegmentError {
+        let (world, outcome) = campaign(99, 12);
+        let mut seg = split(&outcome, world.seed(), 3).swap_remove(1);
+        edit(&mut seg.header);
+        Segment::decode(&seg.encode()).unwrap_err()
+    }
+
+    #[test]
+    fn decode_refuses_a_zero_shard_header() {
+        let err = decode_with_header(|h| h.shards = 0);
+        assert!(matches!(err, SegmentError::HeaderInvalid(_)), "{err}");
+    }
+
+    #[test]
+    fn decode_refuses_a_shard_index_past_the_plan() {
+        let err = decode_with_header(|h| h.shard = h.shards);
+        assert!(matches!(err, SegmentError::HeaderInvalid(_)), "{err}");
+    }
+
+    #[test]
+    fn decode_refuses_a_stripe_outside_the_rank_space() {
+        let err = decode_with_header(|h| h.stripe_end = h.num_sites + 1);
+        assert!(matches!(err, SegmentError::HeaderInvalid(_)), "{err}");
+        let err = decode_with_header(|h| h.stripe_start = h.stripe_end + 1);
+        assert!(matches!(err, SegmentError::HeaderInvalid(_)), "{err}");
+    }
+
     #[test]
     fn merge_names_duplicate_missing_and_mismatched_shards() {
         let (world, outcome) = campaign(97, 60);
@@ -1041,44 +997,52 @@ mod tests {
 
         let dup = vec![segs[0].clone(), segs[1].clone(), segs[1].clone()];
         assert_eq!(
-            merge_segments(&dup).unwrap_err(),
+            merge_segments(dup).unwrap_err(),
             MergeError::DuplicateShard(1)
         );
 
         let missing = vec![segs[0].clone(), segs[2].clone()];
         assert_eq!(
-            merge_segments(&missing).unwrap_err(),
+            merge_segments(missing).unwrap_err(),
             MergeError::MissingShard(1)
         );
 
         let mut wrong_stripe = segs.clone();
         wrong_stripe[1].header.stripe_start += 1;
         assert_eq!(
-            merge_segments(&wrong_stripe).unwrap_err(),
+            merge_segments(wrong_stripe).unwrap_err(),
             MergeError::StripeMismatch(1)
         );
 
         let mut wrong_token = segs.clone();
         wrong_token[2].header.token ^= 1;
         assert_eq!(
-            merge_segments(&wrong_token).unwrap_err(),
+            merge_segments(wrong_token).unwrap_err(),
             MergeError::TokenMismatch(2)
         );
 
+        // Shard 0's header is the reference the others must agree
+        // with; a wrong seed there fails shard 0's own token check.
         let mut wrong_seed = segs.clone();
-        wrong_seed[0].header.seed ^= 1;
+        wrong_seed[2].header.seed ^= 1;
         assert!(matches!(
-            merge_segments(&wrong_seed),
+            merge_segments(wrong_seed),
             Err(MergeError::HeaderMismatch(_))
         ));
+        let mut wrong_first_seed = segs.clone();
+        wrong_first_seed[0].header.seed ^= 1;
+        assert_eq!(
+            merge_segments(wrong_first_seed).unwrap_err(),
+            MergeError::TokenMismatch(0)
+        );
 
         let mut stale_tally = segs.clone();
         stale_tally[0].metrics = MetricsSnapshot::default();
         assert_eq!(
-            merge_segments(&stale_tally).unwrap_err(),
+            merge_segments(stale_tally).unwrap_err(),
             MergeError::TallyMismatch(0)
         );
 
-        assert_eq!(merge_segments(&[]).unwrap_err(), MergeError::Empty);
+        assert_eq!(merge_segments(Vec::new()).unwrap_err(), MergeError::Empty);
     }
 }

@@ -198,7 +198,7 @@ fn probe_thread_count_does_not_change_campaign_or_tallies() {
                 Some((c, t)) => {
                     assert_eq!(
                         c, &campaign,
-                        "campaign.json differs at probe_threads={pt}, fault={fault:?}"
+                        "campaign differs at probe_threads={pt}, fault={fault:?}"
                     );
                     assert_eq!(
                         t, &tally,

@@ -60,7 +60,7 @@ fn counting_allocator_does_not_change_campaign_or_stripped_trace() {
             let candidate = run(config(probe_threads), counting);
             assert_eq!(
                 baseline.campaign_json, candidate.campaign_json,
-                "campaign.json changed (counting={counting}, probe_threads={probe_threads})"
+                "campaign changed (counting={counting}, probe_threads={probe_threads})"
             );
             assert_eq!(
                 baseline.stripped_trace, candidate.stripped_trace,

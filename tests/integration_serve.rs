@@ -16,8 +16,8 @@ use std::sync::Arc;
 use topics_core::net::fault::FaultProfile;
 use topics_core::obs::Obs;
 use topics_core::{
-    evaluate, http_fetch, merge_dir_columnar, run_shard, write_segment, Lab, LabConfig,
-    ServeConfig, Server, StoreKind, API_ENDPOINTS,
+    evaluate, http_fetch, merge_dir, run_shard, write_segment, Lab, LabConfig, ServeConfig, Server,
+    API_ENDPOINTS,
 };
 
 const SITES: usize = 150;
@@ -75,7 +75,7 @@ fn serve_answers_byte_identical_artefacts_plain_and_faulted() {
         let dir = temp_dir(tag);
         let outcome = Lab::new(config).run().outcome;
         let eval = evaluate(&outcome);
-        topics_core::write_bundle(&dir, &outcome, &eval, false, StoreKind::Columnar).unwrap();
+        topics_core::write_bundle(&dir, &outcome, &eval, false, Default::default()).unwrap();
 
         with_server(&dir, 2, |addr, server| {
             assert_endpoints_match_artefacts(addr, &dir, tag);
@@ -109,7 +109,7 @@ fn serve_answers_the_merged_store_with_doctor_and_profile() {
         let segment = run_shard(&config, shard, 4, &Obs::new().with_trace());
         write_segment(&dir, &segment).unwrap();
     }
-    let merged = merge_dir_columnar(&dir).unwrap();
+    let merged = merge_dir(&dir).unwrap();
     std::fs::write(dir.join("campaign.col"), merged.store.bytes()).unwrap();
     std::fs::write(dir.join("trace.jsonl"), merged.trace.to_jsonl()).unwrap();
     let eval = evaluate(&merged.outcome);
@@ -155,7 +155,7 @@ fn concurrent_clients_get_identical_bytes_and_metrics_reconcile() {
         .run()
         .outcome;
     let eval = evaluate(&outcome);
-    topics_core::write_bundle(&dir, &outcome, &eval, false, StoreKind::Columnar).unwrap();
+    topics_core::write_bundle(&dir, &outcome, &eval, false, Default::default()).unwrap();
 
     let served = with_server(&dir, 4, |addr, _| {
         // 8 clients, each fetching every artefact endpoint 5 times;
@@ -224,7 +224,7 @@ fn cli_exit_codes_distinguish_missing_from_corrupt() {
     std::fs::write(&corrupt, "not a campaign at all").unwrap();
     let missing = dir.join("no-such-campaign.json");
 
-    for cmd in ["report", "metrics", "doctor", "serve"] {
+    for cmd in ["report", "metrics", "compare", "doctor", "serve"] {
         let out = lab(&[cmd, "--campaign", missing.to_str().unwrap()]);
         assert_eq!(
             out.status.code(),
@@ -273,7 +273,7 @@ fn cli_serve_and_fetch_round_trip() {
         .run()
         .outcome;
     let eval = evaluate(&outcome);
-    topics_core::write_bundle(&dir, &outcome, &eval, false, StoreKind::Columnar).unwrap();
+    topics_core::write_bundle(&dir, &outcome, &eval, false, Default::default()).unwrap();
 
     let addr_file = dir.join("addr.txt");
     let mut server = Command::new(env!("CARGO_BIN_EXE_topics-lab"))

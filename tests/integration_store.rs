@@ -1,14 +1,12 @@
-//! Integration: the two campaign stores are interchangeable.
+//! Integration: the campaign store contract.
 //!
-//! The store contract: a bundle written with `--store columnar` holds
-//! the identical dataset as the JSON default — every rendered artefact
-//! (report, comparison, table/figure CSVs) is **byte-identical**, the
-//! loaded `CampaignOutcome` serialises identically, and the column-scan
-//! index agrees with the row-struct `CampaignIndex` field for field —
-//! under fault injection and across 1/2/4-shard merges. The columnar
-//! bytes themselves are deterministic: same seed → same file,
-//! regardless of thread count, run repetition, or whether the store was
-//! written by a single crawl or streamed out of a segment merge.
+//! A bundle's dataset is `campaign.col`, the interned columnar store.
+//! It loads back the exact `CampaignOutcome` the crawl produced, and its
+//! column-scan index agrees with the row-struct `CampaignIndex` field
+//! for field — plain and under fault injection. The store bytes are
+//! deterministic: same seed → same file, regardless of thread count,
+//! run repetition, or whether the store was written by a single crawl
+//! or streamed out of a 1/2/4-shard segment merge.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -23,8 +21,7 @@ use topics_core::net::domain::Domain;
 use topics_core::net::fault::FaultProfile;
 use topics_core::obs::Obs;
 use topics_core::{
-    evaluate, load_campaign, merge_dir_columnar, run_shard, write_bundle, write_segment, Lab,
-    LabConfig, StoreKind,
+    evaluate, load_campaign, merge_dir, run_shard, write_bundle, write_segment, Lab, LabConfig,
 };
 
 const SITES: usize = 200;
@@ -100,57 +97,45 @@ fn assert_index_equiv(outcome: &CampaignOutcome, col: &ColumnIndex, tag: &str) {
     );
 }
 
-/// Write both bundles for one outcome and assert every rendered
-/// artefact is byte-identical, both stores load back the same dataset,
-/// and the column scan matches the row index.
-fn assert_stores_equivalent(outcome: &CampaignOutcome, tag: &str) {
+/// Write the bundle for one outcome and assert its store loads back the
+/// identical dataset and its column scan matches the row index.
+fn assert_store_matches_rows(outcome: &CampaignOutcome, tag: &str) {
     let eval = evaluate(outcome);
-    let dir_json = temp_dir(&format!("{tag}-json"));
-    let dir_col = temp_dir(&format!("{tag}-col"));
-    write_bundle(&dir_json, outcome, &eval, false, StoreKind::Json).unwrap();
-    write_bundle(&dir_col, outcome, &eval, false, StoreKind::Columnar).unwrap();
-
-    assert!(dir_col.join("campaign.col").is_file(), "{tag}: no .col");
-    assert!(
-        !dir_col.join("campaign.json").exists(),
-        "{tag}: columnar bundle must not write campaign.json"
-    );
-    for artefact in BUNDLE_FILES.iter().filter(|f| **f != "campaign.json") {
-        assert_eq!(
-            std::fs::read(dir_json.join(artefact)).unwrap(),
-            std::fs::read(dir_col.join(artefact)).unwrap(),
-            "{tag}: {artefact} differs between stores"
-        );
+    let dir = temp_dir(tag);
+    write_bundle(&dir, outcome, &eval, false, Default::default()).unwrap();
+    for artefact in BUNDLE_FILES {
+        assert!(dir.join(artefact).is_file(), "{tag}: no {artefact}");
     }
-
-    let from_json = load_campaign(&dir_json.join("campaign.json")).unwrap();
-    let from_col = load_campaign(&dir_col.join("campaign.col")).unwrap();
-    assert_eq!(
-        serde_json::to_string(&from_json).unwrap(),
-        serde_json::to_string(&from_col).unwrap(),
-        "{tag}: loaded datasets differ between stores"
+    assert!(
+        !dir.join("campaign.json").exists(),
+        "{tag}: a bundle must not write campaign.json"
     );
 
-    let store =
-        ColumnarCampaign::decode(std::fs::read(dir_col.join("campaign.col")).unwrap()).unwrap();
+    let loaded = load_campaign(&dir.join("campaign.col")).unwrap();
+    assert_eq!(
+        serde_json::to_string(&loaded).unwrap(),
+        serde_json::to_string(outcome).unwrap(),
+        "{tag}: the store does not load back the crawled dataset"
+    );
+
+    let store = ColumnarCampaign::decode(std::fs::read(dir.join("campaign.col")).unwrap()).unwrap();
     store.verify().unwrap();
     let col = colscan::scan(&store).unwrap();
-    assert_index_equiv(&from_json, &col, tag);
+    assert_index_equiv(&loaded, &col, tag);
 
-    std::fs::remove_dir_all(&dir_json).unwrap();
-    std::fs::remove_dir_all(&dir_col).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
-fn both_stores_render_identical_artefacts() {
+fn column_scan_matches_the_row_index() {
     let outcome = Lab::new(LabConfig::quick(67, SITES).with_threads(2))
         .run()
         .outcome;
-    assert_stores_equivalent(&outcome, "plain");
+    assert_store_matches_rows(&outcome, "plain");
 }
 
 #[test]
-fn both_stores_agree_under_fault_injection() {
+fn column_scan_matches_the_row_index_under_fault_injection() {
     let config = LabConfig::quick(73, SITES)
         .with_threads(2)
         .with_fault_profile(FaultProfile::parse("0.05").unwrap());
@@ -160,7 +145,7 @@ fn both_stores_agree_under_fault_injection() {
         counts.degraded + counts.failed > 0,
         "fault profile must actually degrade some sites"
     );
-    assert_stores_equivalent(&outcome, "faulted");
+    assert_store_matches_rows(&outcome, "faulted");
 }
 
 #[test]
@@ -203,7 +188,7 @@ fn sharded_columnar_merge_reproduces_the_single_run_store() {
                 let segment = run_shard(&config, shard, shards, &Obs::new().with_trace());
                 write_segment(&dir, &segment).unwrap();
             }
-            let merged = merge_dir_columnar(&dir).unwrap();
+            let merged = merge_dir(&dir).unwrap();
             assert_eq!(
                 merged.store.bytes(),
                 single.bytes(),
@@ -231,46 +216,38 @@ fn read(dir: &Path, name: &str) -> Vec<u8> {
 }
 
 #[test]
-fn cli_store_flag_equivalence_and_doctor() {
+fn cli_merged_store_matches_the_crawl_and_doctor_verifies_it() {
     let dir = temp_dir("cli");
-    let json_dir = dir.join("json");
-    let col_dir = dir.join("col");
+    let crawl_dir = dir.join("crawl");
     let segs = dir.join("segs");
 
-    // The same crawl through both backends.
-    for (out, extra) in [(&json_dir, None), (&col_dir, Some("columnar"))] {
-        let mut args = vec!["crawl", "--sites", "60", "--seed", "13", "--quiet", "--out"];
-        args.push(out.to_str().unwrap());
-        if let Some(store) = extra {
-            args.extend(["--store", store]);
-        }
-        let out = lab(&args);
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
+    let out = lab(&[
+        "crawl",
+        "--sites",
+        "60",
+        "--seed",
+        "13",
+        "--quiet",
+        "--out",
+        crawl_dir.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(crawl_dir.join("campaign.col").is_file());
+    assert!(!crawl_dir.join("campaign.json").exists());
 
-    // Every rendered artefact byte-identical; only the store differs.
-    for artefact in BUNDLE_FILES.iter().filter(|f| **f != "campaign.json") {
-        assert_eq!(
-            read(&json_dir, artefact),
-            read(&col_dir, artefact),
-            "{artefact} differs between --store backends"
-        );
-    }
-    assert!(col_dir.join("campaign.col").is_file());
-    assert!(!col_dir.join("campaign.json").exists());
+    // `report` re-renders report.txt from the bundle's store (printed
+    // with one trailing newline).
+    let report = lab(&["report", "--campaign", crawl_dir.to_str().unwrap()]);
+    assert!(report.status.success());
+    let mut want = read(&crawl_dir, "report.txt");
+    want.push(b'\n');
+    assert!(report.stdout == want, "report differs from report.txt");
 
-    // `report` renders the same text from either bundle.
-    let report_json = lab(&["report", "--campaign", json_dir.to_str().unwrap()]);
-    let report_col = lab(&["report", "--campaign", col_dir.to_str().unwrap()]);
-    assert!(report_json.status.success() && report_col.status.success());
-    assert_eq!(report_json.stdout, report_col.stdout);
-
-    // A merged columnar bundle reproduces the crawl-written store byte
-    // for byte.
+    // A merged bundle reproduces the crawl-written store byte for byte.
     for spec in ["1/2", "2/2"] {
         let out = lab(&[
             "shard",
@@ -290,13 +267,7 @@ fn cli_store_flag_equivalence_and_doctor() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
-    let out = lab(&[
-        "merge",
-        "--segments",
-        segs.to_str().unwrap(),
-        "--store",
-        "columnar",
-    ]);
+    let out = lab(&["merge", "--segments", segs.to_str().unwrap()]);
     assert!(
         out.status.success(),
         "{}",
@@ -304,13 +275,13 @@ fn cli_store_flag_equivalence_and_doctor() {
     );
     assert_eq!(
         read(&segs, "campaign.col"),
-        read(&col_dir, "campaign.col"),
-        "merge --store columnar must stream the same bytes the crawl wrote"
+        read(&crawl_dir, "campaign.col"),
+        "merge must stream the same bytes the crawl wrote"
     );
     assert!(!segs.join("campaign.json").exists());
 
-    // Doctor on the merged bundle verifies segments AND the columnar
-    // store (checksums, intern integrity, dataset agreement).
+    // Doctor on the merged bundle verifies segments AND the store
+    // (checksums, intern integrity, canonical bytes).
     let out = lab(&["doctor", "--campaign", segs.to_str().unwrap()]);
     let stdout = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(out.status.success(), "{stdout}");
@@ -318,30 +289,43 @@ fn cli_store_flag_equivalence_and_doctor() {
     assert!(stdout.contains("== Columnar store =="), "{stdout}");
     assert!(stdout.contains("[ok] campaign.col"), "{stdout}");
 
-    // Corrupting the store is caught at load time: the checksum fails
-    // before anything downstream can misread the bytes.
+    // The retired knob is an unknown flag, refused before any work.
+    let out = lab(&["crawl", "--sites", "10", "--quiet", "--store", "columnar"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("unknown flag \"--store\""),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    // Corrupting the store is caught at load time (exit 4): the
+    // checksum fails before anything downstream can misread the bytes.
     let mut bytes = read(&segs, "campaign.col");
     let last = bytes.len() - 1;
     bytes[last] ^= 0xFF;
     std::fs::write(segs.join("campaign.col"), &bytes).unwrap();
     let out = lab(&["doctor", "--campaign", segs.to_str().unwrap()]);
-    assert!(!out.status.success(), "doctor must fail on a corrupt store");
+    assert_eq!(
+        out.status.code(),
+        Some(4),
+        "doctor must fail on a corrupt store"
+    );
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("campaign.col"),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // An explicit `--store json` against a columnar-only bundle is a
-    // clean load error, not a misparse.
-    let out = lab(&[
-        "report",
-        "--campaign",
-        col_dir.to_str().unwrap(),
-        "--store",
-        "json",
-    ]);
-    assert!(!out.status.success());
+    // A JSON dump in the store's place is refused by magic (exit 4),
+    // never parsed.
+    std::fs::write(segs.join("campaign.col"), b"{\"schema_version\":1}").unwrap();
+    let out = lab(&["report", "--campaign", segs.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(4));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("bad magic"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
