@@ -12,9 +12,36 @@
 //! Counting is **off by default** — the hot path then costs exactly one
 //! relaxed atomic load and a branch — and is switched on with
 //! [`set_enabled`] (the CLI's `--alloc-stats` flag). When on, every
-//! allocation updates process-wide *and* thread-local counters with
-//! relaxed atomics / plain `Cell`s: no locks, no allocation, no
+//! allocation updates thread-local `Cell`s and the calling thread's
+//! *counter stripe* with relaxed atomics: no locks, no allocation, no
 //! syscalls, so the allocator can never re-enter itself.
+//!
+//! **Stripes.** The process-wide counters are split into [`STRIPES`]
+//! cache-line-aligned stripes, each holding allocated/freed bytes, the
+//! free count and the [`SIZE_CLASSES`] per-class allocation counts (the
+//! allocation count is their sum, live bytes are allocated minus freed).
+//! A thread is dealt a stripe round-robin on its first counted call and
+//! only ever writes that stripe, so workers of one pool never bounce a
+//! counter line between cores. Stripes are never retired: a thread that
+//! exits leaves its totals behind, and a later thread dealt the same
+//! stripe adds to them. Readers ([`global_stats`], [`WindowSpan`],
+//! [`size_class_counts`]) sum the stripes, so every count and byte
+//! total is **exact**.
+//!
+//! **Peak.** The process-wide live level is a sum over stripes, too
+//! costly to recompute per allocation, so the process and window
+//! high-water marks are *folded* — set to the summed live level if it
+//! is higher — only when a thread's own live level has grown by
+//! [`PEAK_FOLD_BYTES`] since its last fold, at [`WindowSpan`] start and
+//! finish, and when [`global_stats`] is read. A thread's growth between
+//! folds is measured from its lowest level since the last fold, so
+//! growth that no fold saw is under [`PEAK_FOLD_BYTES`] per thread: a
+//! reported `peak_bytes` is a lower bound on the true high-water mark,
+//! short of it by less than (threads that allocated) × 64 KiB. Any
+//! single allocation of 64 KiB or more folds at once. Levels are signed
+//! internally (freeing memory allocated before counting started goes
+//! below zero), so a window's peak delta is right even then. The
+//! thread-local [`AllocSpan`] peak needs no fold and stays exact.
 //!
 //! Two accounting scopes sit on top of the raw counters:
 //!
@@ -42,42 +69,105 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 
 /// Number of power-of-two size classes tracked (2⁰ … 2⁴⁷ bytes; larger
 /// allocations fold into the last class).
 pub const SIZE_CLASSES: usize = 48;
 
+/// Number of process-wide counter stripes threads are dealt.
+pub const STRIPES: usize = 16;
+
+/// Growth of one thread's live bytes that folds the summed live level
+/// into the process and window peaks (see the module doc for the bound
+/// this gives `peak_bytes`).
+pub const PEAK_FOLD_BYTES: u64 = 64 << 10;
+
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-// Process-wide counters (relaxed; read with `global_stats`).
-static G_ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-static G_ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
-static G_DEALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-static G_DEALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
-/// Net live bytes. Signed: a thread may free memory another allocated.
-static G_LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
-/// High-water mark of `G_LIVE_BYTES` since process start (never reset).
-static G_PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
-/// High-water mark since the last [`WindowSpan`] start (resettable).
-static G_WINDOW_PEAK: AtomicU64 = AtomicU64::new(0);
+/// One thread group's share of the process-wide counters. Aligned past
+/// a cache line (and the adjacent-line prefetch pair) so no two stripes
+/// share one.
+#[repr(align(128))]
+struct Stripe {
+    alloc_bytes: AtomicU64,
+    dealloc_bytes: AtomicU64,
+    dealloc_count: AtomicU64,
+    /// Allocation counts per size class (index = ⌈log₂ size⌉, capped).
+    classes: [AtomicU64; SIZE_CLASSES],
+}
 
-/// Per-size-class allocation counts (index = ⌈log₂ size⌉, capped).
-static G_SIZE_CLASSES: [AtomicU64; SIZE_CLASSES] = {
+impl Stripe {
     #[allow(clippy::declare_interior_mutable_const)]
-    const ZERO: AtomicU64 = AtomicU64::new(0);
-    [ZERO; SIZE_CLASSES]
-};
+    const ZERO: Stripe = {
+        #[allow(clippy::declare_interior_mutable_const)]
+        const Z: AtomicU64 = AtomicU64::new(0);
+        Stripe {
+            alloc_bytes: Z,
+            dealloc_bytes: Z,
+            dealloc_count: Z,
+            classes: [Z; SIZE_CLASSES],
+        }
+    };
+}
+
+static STRIPE_TABLE: [Stripe; STRIPES] = [Stripe::ZERO; STRIPES];
+/// Round-robin cursor of the next stripe to deal.
+static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
+/// High-water mark of the folded live level since process start (never
+/// reset). Signed like the live level: memory allocated before counting
+/// started and freed since then counts below zero.
+static G_PEAK_BYTES: AtomicI64 = AtomicI64::new(0);
+/// High-water mark since the last [`WindowSpan`] start (resettable).
+static G_WINDOW_PEAK: AtomicI64 = AtomicI64::new(0);
+
+/// This thread's counters. Plain-data cells (no `Drop`), so no TLS
+/// destructor is registered and access from inside the allocator is
+/// always safe.
+struct Local {
+    /// Dealt stripe index + 1; 0 until the first counted call.
+    stripe: Cell<usize>,
+    alloc_bytes: Cell<u64>,
+    alloc_count: Cell<u64>,
+    dealloc_bytes: Cell<u64>,
+    dealloc_count: Cell<u64>,
+    /// Net live bytes. Signed: a thread may free memory another
+    /// allocated.
+    live: Cell<i64>,
+    /// [`AllocSpan`] watermark: exact, updated on every allocation.
+    peak: Cell<i64>,
+    /// Lowest live level since this thread's last peak fold.
+    fold_mark: Cell<i64>,
+}
 
 thread_local! {
-    // Plain-data cells (no `Drop`), so no TLS destructor is registered
-    // and access from inside the allocator is always safe.
-    static T_ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
-    static T_ALLOC_COUNT: Cell<u64> = const { Cell::new(0) };
-    static T_DEALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
-    static T_DEALLOC_COUNT: Cell<u64> = const { Cell::new(0) };
-    static T_LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
-    static T_PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
+    static LOCAL: Local = const {
+        Local {
+            stripe: Cell::new(0),
+            alloc_bytes: Cell::new(0),
+            alloc_count: Cell::new(0),
+            dealloc_bytes: Cell::new(0),
+            dealloc_count: Cell::new(0),
+            live: Cell::new(0),
+            peak: Cell::new(0),
+            fold_mark: Cell::new(0),
+        }
+    };
+}
+
+impl Local {
+    #[inline]
+    fn stripe(&self) -> &'static Stripe {
+        let dealt = match self.stripe.get() {
+            0 => {
+                let i = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
+                self.stripe.set(i + 1);
+                i
+            }
+            n => n - 1,
+        };
+        &STRIPE_TABLE[dealt]
+    }
 }
 
 /// The instrumented allocator. Install as `#[global_allocator]`;
@@ -92,36 +182,114 @@ fn size_class(size: usize) -> usize {
     (bits as usize).min(SIZE_CLASSES - 1)
 }
 
-#[inline]
+// Kept out of line: the allocator shims are inlined at every
+// allocation site, and the counting path inlined with them grew the
+// binary's text by 13%.
+#[inline(never)]
 fn record_alloc(size: usize) {
     let bytes = size as u64;
-    G_ALLOC_BYTES.fetch_add(bytes, Ordering::Relaxed);
-    G_ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-    G_SIZE_CLASSES[size_class(size)].fetch_add(1, Ordering::Relaxed);
-    let live = G_LIVE_BYTES.fetch_add(size as i64, Ordering::Relaxed) + size as i64;
-    if live > 0 {
-        G_PEAK_BYTES.fetch_max(live as u64, Ordering::Relaxed);
-        G_WINDOW_PEAK.fetch_max(live as u64, Ordering::Relaxed);
+    // `try_with` cannot fail for a const, destructor-free key; should it
+    // ever, stripe 0 keeps the process totals exact.
+    let (stripe, fold) = LOCAL
+        .try_with(|t| {
+            t.alloc_bytes.set(t.alloc_bytes.get() + bytes);
+            t.alloc_count.set(t.alloc_count.get() + 1);
+            let live = t.live.get() + size as i64;
+            t.live.set(live);
+            t.peak.set(t.peak.get().max(live));
+            let fold = live - t.fold_mark.get() >= PEAK_FOLD_BYTES as i64;
+            if fold {
+                t.fold_mark.set(live);
+            }
+            (t.stripe(), fold)
+        })
+        .unwrap_or((&STRIPE_TABLE[0], false));
+    stripe.alloc_bytes.fetch_add(bytes, Ordering::Relaxed);
+    stripe.classes[size_class(size)].fetch_add(1, Ordering::Relaxed);
+    if fold {
+        fold_peak();
     }
-    // `try_with` only fails during thread teardown; drop the sample.
-    let _ = T_ALLOC_BYTES.try_with(|c| c.set(c.get() + bytes));
-    let _ = T_ALLOC_COUNT.try_with(|c| c.set(c.get() + 1));
-    let _ = T_LIVE_BYTES.try_with(|c| {
-        let live = c.get() + size as i64;
-        c.set(live);
-        let _ = T_PEAK_BYTES.try_with(|p| p.set(p.get().max(live)));
-    });
 }
 
-#[inline]
+#[inline(never)]
 fn record_dealloc(size: usize) {
     let bytes = size as u64;
-    G_DEALLOC_BYTES.fetch_add(bytes, Ordering::Relaxed);
-    G_DEALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-    G_LIVE_BYTES.fetch_sub(size as i64, Ordering::Relaxed);
-    let _ = T_DEALLOC_BYTES.try_with(|c| c.set(c.get() + bytes));
-    let _ = T_DEALLOC_COUNT.try_with(|c| c.set(c.get() + 1));
-    let _ = T_LIVE_BYTES.try_with(|c| c.set(c.get() - size as i64));
+    let stripe = LOCAL
+        .try_with(|t| {
+            t.dealloc_bytes.set(t.dealloc_bytes.get() + bytes);
+            t.dealloc_count.set(t.dealloc_count.get() + 1);
+            let live = t.live.get() - size as i64;
+            t.live.set(live);
+            t.fold_mark.set(t.fold_mark.get().min(live));
+            t.stripe()
+        })
+        .unwrap_or(&STRIPE_TABLE[0]);
+    stripe.dealloc_bytes.fetch_add(bytes, Ordering::Relaxed);
+    stripe.dealloc_count.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Sums of every stripe's counters.
+struct Totals {
+    alloc_bytes: u64,
+    alloc_count: u64,
+    dealloc_bytes: u64,
+    dealloc_count: u64,
+}
+
+impl Totals {
+    /// Read the allocation side of every stripe before the free side.
+    /// Both only grow, so `live` never exceeds the live level at any
+    /// instant between the two passes.
+    fn read() -> Totals {
+        let (mut alloc_bytes, mut alloc_count) = (0u64, 0u64);
+        for s in &STRIPE_TABLE {
+            alloc_bytes += s.alloc_bytes.load(Ordering::Relaxed);
+            alloc_count += s
+                .classes
+                .iter()
+                .map(|c| c.load(Ordering::Relaxed))
+                .sum::<u64>();
+        }
+        let (mut dealloc_bytes, mut dealloc_count) = (0u64, 0u64);
+        for s in &STRIPE_TABLE {
+            dealloc_bytes += s.dealloc_bytes.load(Ordering::Relaxed);
+            dealloc_count += s.dealloc_count.load(Ordering::Relaxed);
+        }
+        Totals {
+            alloc_bytes,
+            alloc_count,
+            dealloc_bytes,
+            dealloc_count,
+        }
+    }
+
+    /// Net live bytes since counting started; negative while more was
+    /// freed than allocated (memory allocated before counting).
+    fn live(&self) -> i64 {
+        self.alloc_bytes.wrapping_sub(self.dealloc_bytes) as i64
+    }
+}
+
+/// Raise the process and window peaks to `live`; returns the window
+/// peak.
+fn fold(live: i64) -> i64 {
+    G_PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+    G_WINDOW_PEAK.fetch_max(live, Ordering::Relaxed).max(live)
+}
+
+/// Fold the summed live level into the process and window peaks. Reads
+/// only the byte counters, allocation side first as in [`Totals::read`].
+#[cold]
+fn fold_peak() {
+    let allocated: u64 = STRIPE_TABLE
+        .iter()
+        .map(|s| s.alloc_bytes.load(Ordering::Relaxed))
+        .sum();
+    let freed: u64 = STRIPE_TABLE
+        .iter()
+        .map(|s| s.dealloc_bytes.load(Ordering::Relaxed))
+        .sum();
+    fold(allocated.wrapping_sub(freed) as i64);
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -187,32 +355,37 @@ pub struct AllocStats {
     /// Net live bytes right now (can go negative per-thread when a
     /// thread frees memory another allocated; clamped to 0 here).
     pub live_bytes: u64,
-    /// High-water mark of live bytes.
+    /// High-water mark of live bytes: exact per thread, a lower bound
+    /// within the fold slack process-wide (see the module doc).
     pub peak_bytes: u64,
 }
 
-/// Process-wide counters since the process started counting.
+/// Process-wide counters since the process started counting. Reading
+/// them folds the current live level into the peaks.
 pub fn global_stats() -> AllocStats {
+    let totals = Totals::read();
+    let live = totals.live();
+    fold(live);
     AllocStats {
-        alloc_bytes: G_ALLOC_BYTES.load(Ordering::Relaxed),
-        alloc_count: G_ALLOC_COUNT.load(Ordering::Relaxed),
-        dealloc_bytes: G_DEALLOC_BYTES.load(Ordering::Relaxed),
-        dealloc_count: G_DEALLOC_COUNT.load(Ordering::Relaxed),
-        live_bytes: G_LIVE_BYTES.load(Ordering::Relaxed).max(0) as u64,
-        peak_bytes: G_PEAK_BYTES.load(Ordering::Relaxed),
+        alloc_bytes: totals.alloc_bytes,
+        alloc_count: totals.alloc_count,
+        dealloc_bytes: totals.dealloc_bytes,
+        dealloc_count: totals.dealloc_count,
+        live_bytes: live.max(0) as u64,
+        peak_bytes: G_PEAK_BYTES.load(Ordering::Relaxed).max(0) as u64,
     }
 }
 
 /// This thread's counters since it started counting.
 pub fn thread_stats() -> AllocStats {
-    AllocStats {
-        alloc_bytes: T_ALLOC_BYTES.with(Cell::get),
-        alloc_count: T_ALLOC_COUNT.with(Cell::get),
-        dealloc_bytes: T_DEALLOC_BYTES.with(Cell::get),
-        dealloc_count: T_DEALLOC_COUNT.with(Cell::get),
-        live_bytes: T_LIVE_BYTES.with(Cell::get).max(0) as u64,
-        peak_bytes: T_PEAK_BYTES.with(Cell::get).max(0) as u64,
-    }
+    LOCAL.with(|t| AllocStats {
+        alloc_bytes: t.alloc_bytes.get(),
+        alloc_count: t.alloc_count.get(),
+        dealloc_bytes: t.dealloc_bytes.get(),
+        dealloc_count: t.dealloc_count.get(),
+        live_bytes: t.live.get().max(0) as u64,
+        peak_bytes: t.peak.get().max(0) as u64,
+    })
 }
 
 /// The measured allocation delta of a finished [`AllocSpan`] or
@@ -266,16 +439,17 @@ impl AllocSpan {
                 outer_peak: 0,
             };
         }
-        let live = T_LIVE_BYTES.with(Cell::get);
-        let outer_peak = T_PEAK_BYTES.with(|p| p.replace(live));
-        AllocSpan {
-            active: true,
-            start_alloc_bytes: T_ALLOC_BYTES.with(Cell::get),
-            start_alloc_count: T_ALLOC_COUNT.with(Cell::get),
-            start_dealloc_bytes: T_DEALLOC_BYTES.with(Cell::get),
-            start_live: live,
-            outer_peak,
-        }
+        LOCAL.with(|t| {
+            let live = t.live.get();
+            AllocSpan {
+                active: true,
+                start_alloc_bytes: t.alloc_bytes.get(),
+                start_alloc_count: t.alloc_count.get(),
+                start_dealloc_bytes: t.dealloc_bytes.get(),
+                start_live: live,
+                outer_peak: t.peak.replace(live),
+            }
+        })
     }
 
     /// Close the scope: the delta since [`AllocSpan::start`], with the
@@ -285,17 +459,16 @@ impl AllocSpan {
         if !self.active {
             return AllocDelta::default();
         }
-        let peak = T_PEAK_BYTES.with(|p| {
-            let inner = p.get();
-            p.set(inner.max(self.outer_peak));
-            inner
-        });
-        AllocDelta {
-            alloc_bytes: T_ALLOC_BYTES.with(Cell::get) - self.start_alloc_bytes,
-            alloc_count: T_ALLOC_COUNT.with(Cell::get) - self.start_alloc_count,
-            dealloc_bytes: T_DEALLOC_BYTES.with(Cell::get) - self.start_dealloc_bytes,
-            peak_bytes: (peak - self.start_live).max(0) as u64,
-        }
+        LOCAL.with(|t| {
+            let peak = t.peak.get();
+            t.peak.set(peak.max(self.outer_peak));
+            AllocDelta {
+                alloc_bytes: t.alloc_bytes.get() - self.start_alloc_bytes,
+                alloc_count: t.alloc_count.get() - self.start_alloc_count,
+                dealloc_bytes: t.dealloc_bytes.get() - self.start_dealloc_bytes,
+                peak_bytes: (peak - self.start_live).max(0) as u64,
+            }
+        })
     }
 }
 
@@ -311,11 +484,12 @@ pub struct WindowSpan {
     start_alloc_bytes: u64,
     start_alloc_count: u64,
     start_dealloc_bytes: u64,
-    start_live: u64,
+    start_live: i64,
 }
 
 impl WindowSpan {
-    /// Open a process-wide scope and reset the window peak watermark.
+    /// Open a process-wide scope and reset the window peak watermark to
+    /// the current live level.
     pub fn start() -> WindowSpan {
         if !is_enabled() {
             return WindowSpan {
@@ -326,28 +500,32 @@ impl WindowSpan {
                 start_live: 0,
             };
         }
-        let live = G_LIVE_BYTES.load(Ordering::Relaxed).max(0) as u64;
+        let totals = Totals::read();
+        let live = totals.live();
+        G_PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
         G_WINDOW_PEAK.store(live, Ordering::Relaxed);
         WindowSpan {
             active: true,
-            start_alloc_bytes: G_ALLOC_BYTES.load(Ordering::Relaxed),
-            start_alloc_count: G_ALLOC_COUNT.load(Ordering::Relaxed),
-            start_dealloc_bytes: G_DEALLOC_BYTES.load(Ordering::Relaxed),
+            start_alloc_bytes: totals.alloc_bytes,
+            start_alloc_count: totals.alloc_count,
+            start_dealloc_bytes: totals.dealloc_bytes,
             start_live: live,
         }
     }
 
-    /// Close the scope and return the process-wide delta.
+    /// Close the scope, folding the live level one last time, and
+    /// return the process-wide delta.
     pub fn finish(self) -> AllocDelta {
         if !self.active {
             return AllocDelta::default();
         }
-        let peak = G_WINDOW_PEAK.load(Ordering::Relaxed);
+        let totals = Totals::read();
+        let peak = fold(totals.live());
         AllocDelta {
-            alloc_bytes: G_ALLOC_BYTES.load(Ordering::Relaxed) - self.start_alloc_bytes,
-            alloc_count: G_ALLOC_COUNT.load(Ordering::Relaxed) - self.start_alloc_count,
-            dealloc_bytes: G_DEALLOC_BYTES.load(Ordering::Relaxed) - self.start_dealloc_bytes,
-            peak_bytes: peak.saturating_sub(self.start_live),
+            alloc_bytes: totals.alloc_bytes - self.start_alloc_bytes,
+            alloc_count: totals.alloc_count - self.start_alloc_count,
+            dealloc_bytes: totals.dealloc_bytes - self.start_dealloc_bytes,
+            peak_bytes: (peak - self.start_live).max(0) as u64,
         }
     }
 }
@@ -356,11 +534,12 @@ impl WindowSpan {
 /// pairs, smallest class first. Only classes with observations are
 /// returned.
 pub fn size_class_counts() -> Vec<(u64, u64)> {
-    G_SIZE_CLASSES
-        .iter()
-        .enumerate()
-        .filter_map(|(i, c)| {
-            let n = c.load(Ordering::Relaxed);
+    (0..SIZE_CLASSES)
+        .filter_map(|i| {
+            let n: u64 = STRIPE_TABLE
+                .iter()
+                .map(|s| s.classes[i].load(Ordering::Relaxed))
+                .sum();
             (n > 0).then_some((1u64 << i, n))
         })
         .collect()

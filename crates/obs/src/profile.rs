@@ -25,6 +25,10 @@ pub struct Integrity {
     pub negative: Vec<u64>,
     /// Non-root spans with no parent link at all.
     pub rootless: Vec<u64>,
+    /// Spans whose existing `parent` is not a smaller ID. Sealing and
+    /// merging number parents before their children, so such a link is
+    /// corruption and may close a parent cycle.
+    pub unordered: Vec<u64>,
 }
 
 impl Integrity {
@@ -34,6 +38,7 @@ impl Integrity {
             && self.duplicates.is_empty()
             && self.negative.is_empty()
             && self.rootless.is_empty()
+            && self.unordered.is_empty()
     }
 
     /// Human-readable violation lines (empty when clean).
@@ -67,6 +72,13 @@ impl Integrity {
                 preview(&self.rootless)
             ));
         }
+        if !self.unordered.is_empty() {
+            out.push(format!(
+                "{} span(s) whose parent is not an earlier ID (parent cycle?): IDs {:?}",
+                self.unordered.len(),
+                preview(&self.unordered)
+            ));
+        }
         out
     }
 }
@@ -75,8 +87,8 @@ fn preview(ids: &[u64]) -> Vec<u64> {
     ids.iter().take(8).copied().collect()
 }
 
-/// Check a trace for orphan spans, duplicate IDs, and negative
-/// durations.
+/// Check a trace for orphan spans, duplicate IDs, negative durations,
+/// rootless spans and parents that do not precede their children.
 pub fn integrity(trace: &Trace) -> Integrity {
     let mut seen: BTreeMap<u64, usize> = BTreeMap::new();
     for s in &trace.spans {
@@ -90,11 +102,14 @@ pub fn integrity(trace: &Trace) -> Integrity {
     let mut orphans = Vec::new();
     let mut rootless = Vec::new();
     let mut negative = Vec::new();
+    let mut unordered = Vec::new();
     for s in &trace.spans {
         match s.parent {
             Some(p) => {
                 if !seen.contains_key(&p) {
                     orphans.push(s.id);
+                } else if p >= s.id {
+                    unordered.push(s.id);
                 }
             }
             None => {
@@ -114,6 +129,7 @@ pub fn integrity(trace: &Trace) -> Integrity {
         duplicates,
         negative,
         rootless,
+        unordered,
     }
 }
 
@@ -365,14 +381,16 @@ pub fn profile(trace: &Trace, top_n: usize) -> Profile {
     }
 
     // Critical path: from the root, repeatedly descend into the child
-    // that finishes last on the simulated clock.
+    // that finishes last on the simulated clock. Only larger IDs are
+    // children on a sound trace; requiring them keeps a corrupt parent
+    // cycle from looping forever.
     let mut critical_path = Vec::new();
     let mut cursor = 1u64;
     while let Some(kids) = children.get(&cursor) {
         let next = kids
             .iter()
             .map(|&i| &trace.spans[i])
-            .filter(|s| !s.op && s.sim_end_ms.is_some())
+            .filter(|s| s.id > cursor && !s.op && s.sim_end_ms.is_some())
             .max_by_key(|s| (s.sim_end_ms, std::cmp::Reverse(s.id)));
         let Some(next) = next else { break };
         critical_path.push(Hop {
@@ -660,7 +678,8 @@ pub fn mem_profile(trace: &Trace, top_k: usize) -> MemProfile {
     // Retry storms, memory edition: for each retry leaf, climb to the
     // nearest ancestor carrying allocation attribution (the visit or
     // probe that paid for the retries) and charge its bytes to the
-    // retry's window — once per (window, span).
+    // retry's window — once per (window, span). The climb only moves to
+    // smaller IDs, so a corrupt parent cycle ends it.
     let mut buckets: BTreeMap<u64, (usize, u64, Vec<u64>, Vec<String>)> = BTreeMap::new();
     for s in trace.spans.iter().filter(|s| s.name == "retry") {
         let Some(start) = s.sim_start_ms else {
@@ -668,8 +687,8 @@ pub fn mem_profile(trace: &Trace, top_k: usize) -> MemProfile {
         };
         let entry = buckets.entry(start / RETRY_WINDOW_MS).or_default();
         entry.0 += 1;
-        let mut cursor = s.parent;
-        while let Some(pid) = cursor {
+        let (mut child, mut cursor) = (s.id, s.parent);
+        while let Some(pid) = cursor.filter(|&pid| pid < child) {
             let Some(&pi) = index_of.get(&pid) else { break };
             let p = &trace.spans[pi];
             if p.field("alloc_bytes").is_some() {
@@ -679,7 +698,7 @@ pub fn mem_profile(trace: &Trace, top_k: usize) -> MemProfile {
                 }
                 break;
             }
-            cursor = p.parent;
+            (child, cursor) = (p.id, p.parent);
         }
         if entry.3.len() < 3 {
             let host = label_of(s);
@@ -771,6 +790,44 @@ mod tests {
         assert!(!report.duplicates.is_empty());
         assert!(!report.negative.is_empty());
         assert_eq!(report.violations().len(), 3);
+    }
+
+    #[test]
+    fn parent_cycles_are_flagged_and_every_walk_ends() {
+        // The latest-finishing visit's fetch takes the visit's own ID,
+        // so the critical-path walk finds the visit among its own
+        // children; the retry points at itself, so the memory climb
+        // finds no attributed ancestor before revisiting it.
+        let mut t = traced_campaign();
+        let visit = t
+            .spans
+            .iter()
+            .filter(|s| s.name == "visit")
+            .max_by_key(|s| s.sim_end_ms)
+            .unwrap()
+            .id;
+        let fetch = t
+            .spans
+            .iter()
+            .position(|s| s.name == "fetch" && s.parent == Some(visit))
+            .unwrap();
+        t.spans[fetch].id = visit;
+        let retry = t.spans.iter().position(|s| s.name == "retry").unwrap();
+        let retry_id = t.spans[retry].id;
+        t.spans[retry].parent = Some(retry_id);
+
+        let report = integrity(&t);
+        assert_eq!(report.unordered, vec![visit, retry_id]);
+        assert!(report.duplicates.contains(&visit));
+        assert!(report
+            .violations()
+            .iter()
+            .any(|v| v.contains("parent is not an earlier ID")));
+        let p = profile(&t, 10);
+        assert_eq!(p.critical_path.len(), 2, "{:?}", p.critical_path);
+        let m = mem_profile(&t, 5);
+        assert_eq!(m.retry_clusters.len(), 1);
+        assert_eq!(m.retry_clusters[0].alloc_bytes, 0);
     }
 
     #[test]

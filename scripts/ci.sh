@@ -45,6 +45,26 @@ cargo run --release -q -p topics-core --bin topics-lab -- crawl \
 cargo run --release -q -p topics-core --bin topics-lab -- doctor \
     --campaign "$DOCTOR_DIR" > /dev/null
 
+echo "== doctor refuses a trace whose parents form a cycle =="
+# Give the attestation-probe phase the root's ID: the root becomes its
+# own child, the loop a walk from the root used to follow until memory
+# ran out. The doctor must exit non-zero with named violations within
+# the timeout: not 124 (timed out) and not 134 (aborted).
+sed -E 's/^\{"id":[0-9]+,"parent":1,"name":"attestation-probe"/{"id":1,"parent":1,"name":"attestation-probe"/' \
+    "$DOCTOR_DIR/trace.jsonl" > "$DOCTOR_DIR/cycle.jsonl"
+if cmp -s "$DOCTOR_DIR/trace.jsonl" "$DOCTOR_DIR/cycle.jsonl"; then
+    echo "error: the cycle corruption did not apply" >&2
+    exit 1
+fi
+STATUS=0
+timeout 60 cargo run --release -q -p topics-core --bin topics-lab -- doctor \
+    --trace "$DOCTOR_DIR/cycle.jsonl" > "$DOCTOR_DIR/cycle.txt" 2>&1 || STATUS=$?
+if [ "$STATUS" -eq 0 ] || [ "$STATUS" -eq 124 ] || [ "$STATUS" -eq 134 ]; then
+    echo "error: doctor on a parent cycle exited $STATUS" >&2
+    exit 1
+fi
+grep -q 'parent is not an earlier ID' "$DOCTOR_DIR/cycle.txt"
+
 echo "== memprofile on the chaos trace =="
 # The alloc-counted trace must yield a non-empty memory attribution
 # report (per-phase allocation, top spans, retry clusters).
